@@ -112,3 +112,11 @@ let mem t ~addr ~write:_ ~dependent =
 let cycles t = (t.instrs / Cost.ipc) + t.mem_cycles
 let instr_count t = t.instrs
 let mem_count t = t.mems
+
+let cache_stats t =
+  [
+    ("l1d", Cache.stats t.l1);
+    ("l2", Cache.stats t.l2);
+    ("l3", Cache.stats t.l3);
+    ("dtlb", Cache.stats t.dtlb);
+  ]

@@ -31,3 +31,7 @@ val packet_boundary : t -> regions:(int * int) list -> unit
 val cycles : t -> int
 val instr_count : t -> int
 val mem_count : t -> int
+
+val cache_stats : t -> (string * (int * int)) list
+(** [(hits, misses)] of each simulated cache ({!Cache.stats}), labelled
+    ["l1d"], ["l2"], ["l3"] and ["dtlb"]. *)

@@ -138,6 +138,115 @@ let test_tlb_penalty () =
   check_bool "page walks cost" true
     (Hw.Realistic.cycles many_pages > Hw.Realistic.cycles one_page)
 
+(* Golden pin of the realistic simulator: a churn trace (every packet a
+   new flow into a small NAT, so each packet expires one entry, inserts
+   one and allocates a port) replayed by the Distiller.  The constants
+   were taken from the straightforward list-of-ways simulator; any
+   reimplementation of Hw.Cache / Hw.Realistic must reproduce them
+   exactly, cycle for cycle and hit for hit. *)
+let golden_packets = 3000
+let golden_total_cycles = 1_498_405
+let golden_cycle_checksum = 36_281_388_888_931
+
+let golden_cache_stats =
+  [
+    ("l1d", (170_712, 12_142));
+    ("l2", (2_628, 9_450));
+    ("l3", (9_000, 450));
+    ("dtlb", (173_843, 9_011));
+  ]
+
+let test_realistic_golden () =
+  let gap = 100 and capacity = 256 in
+  let config =
+    {
+      Nf.Nat.default_config with
+      capacity;
+      buckets = 256;
+      timeout = capacity * gap;
+      granularity = gap;
+      port_lo = 1024;
+      port_hi = 1535;
+    }
+  in
+  let entry = Nf.Registry.of_spec (Nf.Spec.Nat config) in
+  let dss = entry.Nf.Registry.setup (Dslib.Layout.allocator ()) in
+  let stream =
+    Workload.Stream.constant_rate ~in_port:0 ~start:1_000_000 ~gap
+      (Workload.Soak.churn_packets ~offset:4096 golden_packets)
+  in
+  let sim = Hw.Realistic.create () in
+  let r =
+    Distiller.Run.run ~hw:(Hw.Model.of_realistic sim) ~dss
+      entry.Nf.Registry.program stream
+  in
+  check_int "packets" golden_packets (Distiller.Run.count r);
+  let checksum =
+    List.fold_left
+      (fun acc c -> ((acc * 1_000_003) + c) land 0x3fff_ffff_ffff)
+      0 (Distiller.Run.latencies r)
+  in
+  let stats = Hw.Realistic.cache_stats sim in
+  check_int "total cycles" golden_total_cycles (Hw.Realistic.cycles sim);
+  check_int "per-packet cycle checksum" golden_cycle_checksum checksum;
+  List.iter
+    (fun (level, (hits, misses)) ->
+      let h, m = List.assoc level stats in
+      check_int (level ^ " hits") hits h;
+      check_int (level ^ " misses") misses m)
+    golden_cache_stats
+
+(* A second pin, on a synthetic stream built to reach the corners the
+   churn trace leaves cold: long sequential sweeps that lock the
+   prefetcher on, scattered accesses that leave thousands of stale
+   in-flight prefetches behind (so the prefetch table's reset-at-4,096
+   rule fires repeatedly), DMA boundaries and bursts of independent DRAM
+   misses.  Constants taken from the same simulator as above. *)
+let synthetic_golden_cycles = 10_147_739
+
+let synthetic_golden_stats =
+  [
+    ("l1d", (2_041, 286_085));
+    ("l2", (8_290, 55_295));
+    ("l3", (10_529, 44_766));
+    ("dtlb", (248_843, 39_283));
+  ]
+
+let test_realistic_synthetic_golden () =
+  let rng = Workload.Prng.create ~seed:12 in
+  let sim = Hw.Realistic.create () in
+  let region = 0x2000_0000 in
+  for _ = 1 to 60_000 do
+    Hw.Realistic.instr sim Hw.Cost.Alu (Workload.Prng.below rng 8);
+    Hw.Realistic.instr sim Hw.Cost.Branch (Workload.Prng.below rng 3);
+    match Workload.Prng.below rng 10 with
+    | 0 | 2 ->
+        (* a sequential sweep from a random line *)
+        let base = region + (Workload.Prng.below rng (1 lsl 20) * 64) in
+        let dependent = Workload.Prng.bool rng 0.5 in
+        for i = 0 to Workload.Prng.below rng 40 do
+          Hw.Realistic.mem sim ~addr:(base + (i * 64)) ~write:false ~dependent
+        done
+    | 1 ->
+        Hw.Realistic.packet_boundary sim
+          ~regions:[ (region, 2048); (region + 0x100_0000, 256) ]
+    | k ->
+        (* scattered: a hot 64 KiB set, a warm 4 MiB one, cold lines *)
+        let span = if k < 6 then 1 lsl 8 else if k < 9 then 1 lsl 16 else 1 lsl 22 in
+        let addr = region + (Workload.Prng.below rng span * 64)
+                   + Workload.Prng.below rng 64 in
+        Hw.Realistic.mem sim ~addr ~write:(k land 1 = 0)
+          ~dependent:(Workload.Prng.bool rng 0.3)
+  done;
+  let stats = Hw.Realistic.cache_stats sim in
+  check_int "total cycles" synthetic_golden_cycles (Hw.Realistic.cycles sim);
+  List.iter
+    (fun (level, (hits, misses)) ->
+      let h, m = List.assoc level stats in
+      check_int (level ^ " hits") hits h;
+      check_int (level ^ " misses") misses m)
+    synthetic_golden_stats
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basic;
@@ -152,4 +261,8 @@ let suite =
       test_conservative_exceeds_realistic;
     Alcotest.test_case "null model" `Quick test_null_model;
     Alcotest.test_case "dtlb penalty" `Quick test_tlb_penalty;
+    Alcotest.test_case "realistic golden (churn replay)" `Quick
+      test_realistic_golden;
+    Alcotest.test_case "realistic golden (synthetic stream)" `Quick
+      test_realistic_synthetic_golden;
   ]

@@ -63,12 +63,20 @@ let replay ~engine (entry : Nf.Registry.entry) stream =
       })
     stream
 
-let check_nf nf =
+(* Replays one NF on both engines.  Runs inside [Exec.Pool.map] worker
+   domains, so it only computes: Alcotest's shared formatter is not
+   domain-safe, and every assertion runs on the main domain in
+   [check_nf]. *)
+let replay_nf nf =
   let entry = Nf.Registry.find nf in
   let prng = Workload.Prng.create ~seed:77 in
   let stream = Proptest.Gen_net.stream_for prng ~nf ~packets:40 in
   let interp = replay ~engine:`Interp entry (copy_stream stream) in
   let compiled = replay ~engine:`Compiled entry (copy_stream stream) in
+  (nf, interp, compiled)
+
+let check_nf (nf, interp, compiled) =
+  check_int (nf ^ " packets") (List.length interp) (List.length compiled);
   List.iteri
     (fun i (a, b) ->
       let ctx fmt = Printf.sprintf "%s packet %d %s" nf i fmt in
@@ -82,7 +90,10 @@ let check_nf nf =
     (List.combine interp compiled)
 
 let test_golden_all_nfs ~jobs () =
-  ignore (Exec.Pool.map ~jobs (fun nf -> check_nf nf) (Nf.Registry.names ()))
+  let names = Nf.Registry.names () in
+  let runs = Exec.Pool.map ~jobs replay_nf names in
+  check_int "every NF replayed" (List.length names) (List.length runs);
+  List.iter check_nf runs
 
 (* A stateful program replayed in analysis mode: stub consumption, the
    no-LTO call-overhead charge and E_call events must line up too. *)

@@ -1,12 +1,32 @@
+(* Every set lives in one flat tag array: set [i]'s ways are
+   [tags.(i * assoc) .. tags.(i * assoc + fill.(i) - 1)], most recently
+   used first.  A lookup is one scan of at most [assoc] ints and an LRU
+   update is an in-place shift of the ways in front of the hit — no
+   option, no closure, no C call, so a simulated access allocates
+   nothing.  The helpers are annotated [int array]/[int] (a polymorphic
+   one would compare through [caml_equal] and store through
+   [caml_modify]) and stay in this module: with [-opaque] (dune's dev
+   profile) nothing is inlined across modules. *)
 type t = {
-  sets : int array array;  (** [sets.(i)] holds line tags, LRU order *)
+  tags : int array;  (** [set_count * assoc] line tags, per-set LRU order *)
   fill : int array;  (** number of valid ways per set *)
+  assoc : int;
   set_count : int;
+  mask : int;  (** [set_count - 1] when a power of two, else [-1] *)
   mutable hits : int;
   mutable misses : int;
 }
 
-let line_of_addr addr = addr / Cost.line_size
+(* [Cost.line_size] is opaque here, so [addr / Cost.line_size] would be
+   a hardware divide on every access; a shift is the same for every
+   non-negative address. *)
+let line_shift =
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+  let s = log2 Cost.line_size in
+  assert (1 lsl s = Cost.line_size);
+  s
+
+let line_of_addr addr = addr asr line_shift
 
 let create ~size_bytes ~assoc =
   let lines = size_bytes / Cost.line_size in
@@ -14,9 +34,11 @@ let create ~size_bytes ~assoc =
     invalid_arg "Cache.create: size must be a multiple of assoc * line_size";
   let set_count = lines / assoc in
   {
-    sets = Array.init set_count (fun _ -> Array.make assoc (-1));
+    tags = Array.make lines (-1);
     fill = Array.make set_count 0;
+    assoc;
     set_count;
+    mask = (if set_count land (set_count - 1) = 0 then set_count - 1 else -1);
     hits = 0;
     misses = 0;
   }
@@ -25,66 +47,83 @@ let l1d () = create ~size_bytes:(32 * 1024) ~assoc:8
 let l2 () = create ~size_bytes:(256 * 1024) ~assoc:8
 let l3 () = create ~size_bytes:(2560 * 1024) ~assoc:20
 
-let find_way set fill tag =
-  let rec loop i = if i >= fill then None else
-    if set.(i) = tag then Some i else loop (i + 1)
-  in
-  loop 0
+let set_of t line =
+  if t.mask >= 0 then line land t.mask else line mod t.set_count
 
-(* Move way [i] to the front (most-recently-used position). *)
-let promote set i =
-  let tag = set.(i) in
-  Array.blit set 0 set 1 i;
-  set.(0) <- tag
+(* Position of [line] in [tags.(lo) .. tags.(hi - 1)], or [-1]. *)
+let rec find (tags : int array) (line : int) lo hi =
+  if lo >= hi then -1
+  else if Array.unsafe_get tags lo = line then lo
+  else find tags line (lo + 1) hi
 
-let insert_line t line =
-  let idx = line mod t.set_count in
-  let set = t.sets.(idx) in
-  let fill = t.fill.(idx) in
-  match find_way set fill line with
-  | Some i -> promote set i
-  | None ->
-      let assoc = Array.length set in
-      let n = min fill (assoc - 1) in
-      Array.blit set 0 set 1 n;
-      set.(0) <- line;
-      if fill < assoc then t.fill.(idx) <- fill + 1
+(* Shift [tags.(lo) .. tags.(hi - 1)] one way towards LRU and put
+   [line] in the MRU way [lo]: promotes a hit at [hi], or fills a new
+   line (evicting [tags.(hi)] when the set is full). *)
+let push_front (tags : int array) (line : int) lo hi =
+  for k = hi downto lo + 1 do
+    Array.unsafe_set tags k (Array.unsafe_get tags (k - 1))
+  done;
+  Array.unsafe_set tags lo line
+
+(* Fill [line] into set [idx], whose ways it is known not to occupy. *)
+let fill_new t idx base line =
+  let fill = Array.unsafe_get t.fill idx in
+  push_front t.tags line base (base + if fill < t.assoc then fill else fill - 1);
+  if fill < t.assoc then Array.unsafe_set t.fill idx (fill + 1)
 
 let access t addr =
-  let line = line_of_addr addr in
-  let idx = line mod t.set_count in
-  let set = t.sets.(idx) in
-  match find_way set t.fill.(idx) line with
-  | Some i ->
-      promote set i;
+  let line = addr asr line_shift in
+  let idx = set_of t line in
+  let base = idx * t.assoc in
+  let fill = t.fill.(idx) in
+  if fill > 0 && Array.unsafe_get t.tags base = line then begin
+    (* already MRU: most hits, and nothing to move *)
+    t.hits <- t.hits + 1;
+    true
+  end
+  else
+    let i = find t.tags line (base + 1) (base + fill) in
+    if i >= 0 then begin
+      push_front t.tags line base i;
       t.hits <- t.hits + 1;
       true
-  | None ->
-      insert_line t line;
+    end
+    else begin
+      fill_new t idx base line;
       t.misses <- t.misses + 1;
       false
+    end
 
 let probe t addr =
-  let line = line_of_addr addr in
-  let idx = line mod t.set_count in
-  find_way t.sets.(idx) t.fill.(idx) line <> None
+  let line = addr asr line_shift in
+  let idx = set_of t line in
+  let base = idx * t.assoc in
+  find t.tags line base (base + t.fill.(idx)) >= 0
 
-let insert t addr = insert_line t (line_of_addr addr)
+let insert t addr =
+  let line = addr asr line_shift in
+  let idx = set_of t line in
+  let base = idx * t.assoc in
+  let i = find t.tags line base (base + t.fill.(idx)) in
+  if i >= 0 then push_front t.tags line base i else fill_new t idx base line
 
 let remove t addr =
-  let line = line_of_addr addr in
-  let idx = line mod t.set_count in
-  let set = t.sets.(idx) in
+  let line = addr asr line_shift in
+  let idx = set_of t line in
+  let base = idx * t.assoc in
   let fill = t.fill.(idx) in
-  match find_way set fill line with
-  | None -> ()
-  | Some i ->
-      Array.blit set (i + 1) set i (fill - i - 1);
-      set.(fill - 1) <- -1;
-      t.fill.(idx) <- fill - 1
+  let last = base + fill - 1 in
+  let i = find t.tags line base (last + 1) in
+  if i >= 0 then begin
+    for k = i to last - 1 do
+      Array.unsafe_set t.tags k (Array.unsafe_get t.tags (k + 1))
+    done;
+    Array.unsafe_set t.tags last (-1);
+    t.fill.(idx) <- fill - 1
+  end
 
 let clear t =
-  Array.iter (fun set -> Array.fill set 0 (Array.length set) (-1)) t.sets;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.fill 0 t.set_count 0;
   t.hits <- 0;
   t.misses <- 0

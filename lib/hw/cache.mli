@@ -35,6 +35,10 @@ val remove : t -> int -> unit
 (** Invalidate the line containing the address, if present (DMA). *)
 
 val clear : t -> unit
+
 val line_of_addr : int -> int
+(** The line holding a byte address.  Addresses are non-negative
+    throughout; every function here takes them as such. *)
+
 val stats : t -> int * int
 (** [(hits, misses)] since creation or [clear]. *)

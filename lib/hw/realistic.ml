@@ -1,9 +1,69 @@
+(* The prefetcher's in-flight lines: a set of non-negative ints in an
+   open-addressed, linearly probed table (deletion by backward shift, so
+   no tombstones).  Its population is bounded — training resets it once
+   it holds more than [limit] lines, and a prefetch hit swaps one line
+   for another — so a table of [4 * (limit + 2)] slots never fills, and
+   adding, testing and removing a line allocate nothing. *)
+module Line_set = struct
+  let limit = 4096
+  let bits = 14
+  let slots = 1 lsl bits
+  let empty = min_int
+
+  type t = { keys : int array; mutable size : int }
+
+  let create () = { keys = Array.make slots empty; size = 0 }
+
+  (* Fibonacci hashing: sequential lines land far apart. *)
+  let home line = (line * 0x1E37_79B9_7F4A_7C15) lsr (63 - bits)
+  let next i = (i + 1) land (slots - 1)
+
+  (* The slot holding [line], or the empty slot where it would go. *)
+  let rec slot keys line i =
+    let k = Array.unsafe_get keys i in
+    if k = line || k = empty then i else slot keys line (next i)
+
+  let mem s line = Array.unsafe_get s.keys (slot s.keys line (home line)) = line
+
+  let add s line =
+    let i = slot s.keys line (home line) in
+    if Array.unsafe_get s.keys i = empty then begin
+      Array.unsafe_set s.keys i line;
+      s.size <- s.size + 1
+    end
+
+  (* Close the gap at [hole]: pull back every later key of the probe run
+     whose home does not lie cyclically in [(hole, j]]. *)
+  let rec backshift keys hole j =
+    let k = Array.unsafe_get keys j in
+    if k = empty then Array.unsafe_set keys hole empty
+    else
+      let h = home k in
+      let stays = if hole <= j then hole < h && h <= j else hole < h || h <= j in
+      if stays then backshift keys hole (next j)
+      else begin
+        Array.unsafe_set keys hole k;
+        backshift keys j (next j)
+      end
+
+  let remove s line =
+    let i = slot s.keys line (home line) in
+    if Array.unsafe_get s.keys i = line then begin
+      backshift s.keys i (next i);
+      s.size <- s.size - 1
+    end
+
+  let reset s =
+    Array.fill s.keys 0 slots empty;
+    s.size <- 0
+end
+
 type t = {
   l1 : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t;
   dtlb : Cache.t;  (** 64-entry, 4 KiB pages, modelled as a tiny cache *)
-  predicted : (int, unit) Hashtbl.t;  (** lines the prefetcher has in flight *)
+  predicted : Line_set.t;  (** lines the prefetcher has in flight *)
   mutable last_miss_line : int;
   mutable last_miss_instr : int;  (** instr count at the last DRAM miss *)
   mutable overlap : int;  (** current memory-level parallelism degree *)
@@ -21,7 +81,7 @@ let create () =
     (* 64 page-table entries of one "line" each: reuse the cache machinery
        by mapping a 4 KiB page to a 64-byte pseudo-line *)
     dtlb = Cache.create ~size_bytes:(64 * 64) ~assoc:4;
-    predicted = Hashtbl.create 256;
+    predicted = Line_set.create ();
     last_miss_line = min_int;
     last_miss_instr = min_int;
     overlap = 1;
@@ -47,26 +107,27 @@ let instr t kind n =
 
 (* DMA delivered a fresh packet: its buffer (and the descriptor ring
    entry) leave the core caches; DDIO parks the lines in L3. *)
-let packet_boundary t ~regions =
-  List.iter
-    (fun (base, size) ->
+let rec packet_boundary t ~regions =
+  match regions with
+  | [] -> ()
+  | (base, size) :: rest ->
       let lines = (size + Cost.line_size - 1) / Cost.line_size in
       for i = 0 to lines - 1 do
         let addr = base + (i * Cost.line_size) in
         Cache.remove t.l1 addr;
         Cache.remove t.l2 addr;
         Cache.insert t.l3 addr
-      done)
-    regions
+      done;
+      packet_boundary t ~regions:rest
 
 (* Misses closer together than this many instructions may overlap. *)
 let burst_window = 48
 
 let train_prefetcher t line =
   if line = t.last_miss_line + 1 then begin
-    if Hashtbl.length t.predicted > 4096 then Hashtbl.reset t.predicted;
-    Hashtbl.replace t.predicted (line + 1) ();
-    Hashtbl.replace t.predicted (line + 2) ()
+    if t.predicted.Line_set.size > Line_set.limit then Line_set.reset t.predicted;
+    Line_set.add t.predicted (line + 1);
+    Line_set.add t.predicted (line + 2)
   end
 
 let tlb_miss_penalty = 7
@@ -81,11 +142,11 @@ let mem t ~addr ~write:_ ~dependent =
   let line = Cache.line_of_addr addr in
   let cost =
     if Cache.access t.l1 addr then Cost.l1_hit_cycles
-    else if Hashtbl.mem t.predicted line then begin
+    else if Line_set.mem t.predicted line then begin
       (* The prefetch is in flight.  A dependent access still waits for
          part of the fill; an independent one overlaps it entirely. *)
-      Hashtbl.remove t.predicted line;
-      Hashtbl.replace t.predicted (line + 1) ();
+      Line_set.remove t.predicted line;
+      Line_set.add t.predicted (line + 1);
       Cache.insert t.l2 addr;
       if dependent then Cost.prefetched_hit_cycles else Cost.l1_hit_cycles
     end
@@ -96,15 +157,17 @@ let mem t ~addr ~write:_ ~dependent =
       let in_burst = t.instrs - t.last_miss_instr < burst_window in
       let overlap =
         if dependent || not in_burst then 1
-        else min Cost.mlp_max (t.overlap + 1)
+        else if t.overlap < Cost.mlp_max then t.overlap + 1
+        else Cost.mlp_max
       in
       t.overlap <- overlap;
       t.last_miss_instr <- t.instrs;
       Cost.dram_cycles / overlap
     end
   in
+  (* [Cache.access t.l1] above left the line resident and MRU in L1,
+     whichever level served it: one lookup per level, no re-probe. *)
   train_prefetcher t line;
-  if not (Cache.probe t.l1 addr) then Cache.insert t.l1 addr;
   t.last_miss_line <- (if cost >= Cost.l2_hit_cycles then line
                        else t.last_miss_line);
   t.mem_cycles <- t.mem_cycles + cost

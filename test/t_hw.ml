@@ -39,6 +39,96 @@ let test_cache_geometry () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad geometry accepted"
 
+(* Differential test of Hw.Cache against a list-based LRU reference:
+   each set is a list of line tags, most recently used first. *)
+module Ref_cache = struct
+  type t = {
+    sets : int list array;
+    assoc : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~size_bytes ~assoc =
+    let set_count = size_bytes / 64 / assoc in
+    { sets = Array.make set_count []; assoc; hits = 0; misses = 0 }
+
+  let idx t line = line mod Array.length t.sets
+  let probe t addr = List.mem (addr / 64) t.sets.(idx t (addr / 64))
+
+  let to_front t line =
+    let i = idx t line in
+    let rest = List.filter (( <> ) line) t.sets.(i) in
+    t.sets.(i) <- List.filteri (fun k _ -> k < t.assoc) (line :: rest)
+
+  let access t addr =
+    let hit = probe t addr in
+    to_front t (addr / 64);
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    hit
+
+  let insert t addr = to_front t (addr / 64)
+
+  let remove t addr =
+    let line = addr / 64 in
+    let i = idx t line in
+    t.sets.(i) <- List.filter (( <> ) line) t.sets.(i)
+
+  let clear t =
+    Array.fill t.sets 0 (Array.length t.sets) [];
+    t.hits <- 0;
+    t.misses <- 0
+end
+
+(* [(size_bytes, assoc)]: 4, 3, 3, 5, 1 and 16 sets — the 3- and 5-set
+   geometries take the general [mod] path. *)
+let cache_geometries =
+  [| (64 * 4, 1); (64 * 6, 2); (64 * 12, 4); (64 * 10, 2); (64 * 8, 8);
+     (64 * 32, 2) |]
+
+let prop_cache_matches_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"cache matches a list-based LRU reference"
+    QCheck2.Gen.(
+      pair
+        (int_range 0 (Array.length cache_geometries - 1))
+        (list_size (int_range 1 200)
+           (triple (int_range 0 20) (int_range 0 47) (int_range 0 63))))
+    (fun (g, ops) ->
+      let size_bytes, assoc = cache_geometries.(g) in
+      let c = Hw.Cache.create ~size_bytes ~assoc in
+      let r = Ref_cache.create ~size_bytes ~assoc in
+      let touched = ref [] in
+      List.for_all
+        (fun (op, line, offset) ->
+          let addr = (line * 64) + offset in
+          touched := addr :: !touched;
+          let same_result =
+            match op with
+            | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 ->
+                Hw.Cache.access c addr = Ref_cache.access r addr
+            | 10 | 11 | 12 | 13 ->
+                Hw.Cache.probe c addr = Ref_cache.probe r addr
+            | 14 | 15 | 16 ->
+                Hw.Cache.insert c addr;
+                Ref_cache.insert r addr;
+                true
+            | 17 | 18 | 19 ->
+                Hw.Cache.remove c addr;
+                Ref_cache.remove r addr;
+                true
+            | _ ->
+                Hw.Cache.clear c;
+                Ref_cache.clear r;
+                true
+          in
+          same_result
+          && Hw.Cache.stats c = (r.Ref_cache.hits, r.Ref_cache.misses)
+          && List.for_all
+               (fun a -> Hw.Cache.probe c a = Ref_cache.probe r a)
+               !touched)
+        ops)
+
 let test_conservative () =
   let m = Hw.Conservative.create () in
   Hw.Conservative.instr m Hw.Cost.Alu 10;
@@ -95,6 +185,47 @@ let test_realistic_boundary () =
   check_int "DMA pushed the line to L3 (DDIO)"
     (before + Hw.Cost.l3_hit_cycles)
     (Hw.Realistic.cycles m)
+
+(* Minor words allocated by [f ()], less the probe's own cost (the
+   same subtraction as the specialized engine's zero-alloc test). *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  int_of_float (w1 -. w0 -. (w2 -. w1))
+
+let test_realistic_zero_alloc () =
+  let m = Hw.Realistic.create () in
+  let n = 4096 in
+  let hot = 0x3000_0000 in
+  Hw.Realistic.mem m ~addr:hot ~write:false ~dependent:false;
+  check_int "L1 hits allocate nothing" 0
+    (minor_words (fun () ->
+         for i = 1 to n do
+           Hw.Realistic.mem m ~addr:(hot + (i land 63)) ~write:(i land 1 = 0)
+             ~dependent:(i land 2 = 0)
+         done));
+  (* a stride of three lines never extends the previous miss, so the
+     prefetcher never trains: every access misses L1, most go to DRAM *)
+  check_int "untrained misses allocate nothing" 0
+    (minor_words (fun () ->
+         for i = 1 to n do
+           Hw.Realistic.mem m ~addr:(0x4000_0000 + (i * 3 * 64)) ~write:false
+             ~dependent:(i land 1 = 0)
+         done));
+  check_int "sequential sweeps (prefetcher trained) allocate nothing" 0
+    (minor_words (fun () ->
+         for i = 1 to n do
+           Hw.Realistic.mem m ~addr:(0x5000_0000 + (i * 64)) ~write:false
+             ~dependent:true
+         done));
+  let regions = [ (0x6000_0000, 2048); (0x6100_0000, 256) ] in
+  check_int "DMA boundaries allocate nothing" 0
+    (minor_words (fun () ->
+         for _ = 1 to 64 do
+           Hw.Realistic.packet_boundary m ~regions
+         done))
 
 let test_conservative_exceeds_realistic () =
   (* On an arbitrary access pattern the conservative model must charge at
@@ -253,10 +384,13 @@ let suite =
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache remove/insert" `Quick test_cache_remove_insert;
     Alcotest.test_case "cache geometry" `Quick test_cache_geometry;
+    QCheck_alcotest.to_alcotest prop_cache_matches_reference;
     Alcotest.test_case "conservative model" `Quick test_conservative;
     Alcotest.test_case "realistic warm hits" `Quick test_realistic_warm;
     Alcotest.test_case "realistic prefetcher" `Quick test_realistic_prefetch;
     Alcotest.test_case "realistic DMA boundary" `Quick test_realistic_boundary;
+    Alcotest.test_case "realistic simulator allocates nothing" `Quick
+      test_realistic_zero_alloc;
     Alcotest.test_case "conservative dominates realistic" `Quick
       test_conservative_exceeds_realistic;
     Alcotest.test_case "null model" `Quick test_null_model;

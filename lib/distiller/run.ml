@@ -3,7 +3,9 @@
    interpreter) and folds every packet straight into flat arrays.  No
    per-packet report list is retained and PCV aggregates are built once
    at replay time, so [pcv_values]/[pcv_sums]/[latencies] are O(packets)
-   reads of precomputed columns instead of O(obs)×O(pcv) rescans. *)
+   reads of precomputed columns instead of O(obs)×O(pcv) rescans.  Each
+   packet's observations are read in place from the meter's buffers
+   ([Exec.Meter.observation_pcv]/[observation_value]), not as a list. *)
 
 type packet_report = {
   index : int;
@@ -67,17 +69,23 @@ let run ?hw ~dss program stream =
   let obs_pcv = Vec.create () in
   let obs_val = Vec.create () in
   let obs_off = Array.make (n + 1) 0 in
-  (* columns in reverse insertion order; the universe is tiny *)
-  let cols : (Perf.Pcv.t * int * int array * int array) list ref = ref [] in
-  let ncols = ref 0 in
+  (* PCV columns in first-observation order; the universe is tiny *)
+  let col_pcv = ref [||] and col_max = ref [||] and col_sum = ref [||] in
   let col_of pcv =
-    match List.find_opt (fun (p, _, _, _) -> Perf.Pcv.equal p pcv) !cols with
-    | Some col -> col
-    | None ->
-        let col = (pcv, !ncols, Array.make n 0, Array.make n 0) in
-        cols := col :: !cols;
-        incr ncols;
-        col
+    let cols = !col_pcv in
+    let j = ref 0 in
+    while
+      !j < Array.length cols
+      && not (cols.(!j) == pcv || Perf.Pcv.equal cols.(!j) pcv)
+    do
+      incr j
+    done;
+    if !j = Array.length cols then begin
+      col_pcv := Array.append cols [| pcv |];
+      col_max := Array.append !col_max [| Array.make n 0 |];
+      col_sum := Array.append !col_sum [| Array.make n 0 |]
+    end;
+    !j
   in
   List.iteri
     (fun i { Workload.Stream.packet; now; in_port } ->
@@ -88,26 +96,26 @@ let run ?hw ~dss program stream =
       ics.(i) <- run.Exec.Interp.ic;
       mas.(i) <- run.Exec.Interp.ma;
       cys.(i) <- run.Exec.Interp.cycles;
-      List.iter
-        (fun (pcv, v) ->
-          let _, idx, maxc, sumc = col_of pcv in
-          Vec.push obs_pcv idx;
-          Vec.push obs_val v;
-          maxc.(i) <- max maxc.(i) v;
-          sumc.(i) <- sumc.(i) + v)
-        (Exec.Meter.observations meter);
+      for k = 0 to Exec.Meter.observation_count meter - 1 do
+        let j = col_of (Exec.Meter.observation_pcv meter k) in
+        let v = Exec.Meter.observation_value meter k in
+        let maxc = !col_max.(j) and sumc = !col_sum.(j) in
+        Vec.push obs_pcv j;
+        Vec.push obs_val v;
+        if v > maxc.(i) then maxc.(i) <- v;
+        sumc.(i) <- sumc.(i) + v
+      done;
       obs_off.(i + 1) <- obs_pcv.Vec.len)
     stream;
-  let cols = List.rev !cols in
   {
     count = n;
     outcomes;
     ics;
     mas;
     cys;
-    pcvs = Array.of_list (List.map (fun (p, _, _, _) -> p) cols);
-    pcv_max = Array.of_list (List.map (fun (_, _, m, _) -> m) cols);
-    pcv_sum = Array.of_list (List.map (fun (_, _, _, s) -> s) cols);
+    pcvs = !col_pcv;
+    pcv_max = !col_max;
+    pcv_sum = !col_sum;
     obs_pcv = Vec.to_array obs_pcv;
     obs_val = Vec.to_array obs_val;
     obs_off;

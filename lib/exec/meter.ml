@@ -81,6 +81,16 @@ let observations t =
   in
   build (t.obs_len - 1) []
 
+let observation_count t = t.obs_len
+
+let observation_pcv t i =
+  if i >= t.obs_len then invalid_arg "Meter.observation_pcv";
+  t.obs_pcv.(i)
+
+let observation_value t i =
+  if i >= t.obs_len then invalid_arg "Meter.observation_value";
+  t.obs_val.(i)
+
 let fold_binding combine t =
   let acc = ref [] in
   for i = 0 to t.obs_len - 1 do

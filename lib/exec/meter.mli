@@ -72,6 +72,14 @@ val events : t -> event list
 val observations : t -> (Perf.Pcv.t * int) list
 (** All observations, in program order. *)
 
+val observation_count : t -> int
+(** Number of observations since the last {!reset_observations}. *)
+
+val observation_pcv : t -> int -> Perf.Pcv.t
+val observation_value : t -> int -> int
+(** The [i]th observation's PCV and value, [0 <= i < observation_count]:
+    {!observations} read in place, with no list built. *)
+
 val pcv_max : t -> Perf.Pcv.binding
 (** Per-PCV maximum over the observations — the conservative binding to
     evaluate a contract at. *)

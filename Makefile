@@ -8,12 +8,14 @@ build:
 test:
 	dune runtest
 
-# What the CI lint job runs: formatting (a no-op without ocamlformat
-# installed), a warning-clean build of everything (dune emits nothing when clean), and the
-# single-walker guard — the only IR traversal lives in lib/ir.
+# What the CI lint job runs: formatting (skipped without ocamlformat
+# installed, a failure when it reports a diff), a warning-clean build of
+# everything (dune emits nothing when clean), the single-walker guard —
+# the only IR traversal lives in lib/ir — and the hot-path guards below.
 lint:
 	@if command -v ocamlformat >/dev/null 2>&1; then \
-	  ocamlformat --check $$(find lib bin test bench examples -name '*.ml' -o -name '*.mli'); \
+	  ocamlformat --check $$(find lib bin test bench examples -name '*.ml' -o -name '*.mli') \
+	    || { echo "lint: ocamlformat reports a diff"; exit 1; }; \
 	else \
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi

@@ -1,32 +1,41 @@
 (* The prefetcher's in-flight lines: a set of non-negative ints in an
    open-addressed, linearly probed table (deletion by backward shift, so
-   no tombstones).  Its population is bounded — training resets it once
-   it holds more than [limit] lines, and a prefetch hit swaps one line
-   for another — so a table of [4 * (limit + 2)] slots never fills, and
-   adding, testing and removing a line allocate nothing. *)
+   no tombstones), kept at most half full.  It starts small and doubles
+   when needed; its population is bounded — training resets it once it
+   holds more than [limit] lines, and a prefetch hit swaps one line for
+   another — so it stops growing, and from then on adding, testing and
+   removing a line allocate nothing. *)
 module Line_set = struct
   let limit = 4096
-  let bits = 14
-  let slots = 1 lsl bits
   let empty = min_int
 
-  type t = { keys : int array; mutable size : int }
+  type t = { mutable keys : int array; mutable bits : int; mutable size : int }
 
-  let create () = { keys = Array.make slots empty; size = 0 }
+  let initial_bits = 6
+  let create () =
+    { keys = Array.make (1 lsl initial_bits) empty; bits = initial_bits; size = 0 }
 
   (* Fibonacci hashing: sequential lines land far apart. *)
-  let home line = (line * 0x1E37_79B9_7F4A_7C15) lsr (63 - bits)
-  let next i = (i + 1) land (slots - 1)
+  let home bits line = (line * 0x1E37_79B9_7F4A_7C15) lsr (63 - bits)
+  let next (keys : int array) i = (i + 1) land (Array.length keys - 1)
 
   (* The slot holding [line], or the empty slot where it would go. *)
   let rec slot keys line i =
     let k = Array.unsafe_get keys i in
-    if k = line || k = empty then i else slot keys line (next i)
+    if k = line || k = empty then i else slot keys line (next keys i)
 
-  let mem s line = Array.unsafe_get s.keys (slot s.keys line (home line)) = line
+  let find s line = slot s.keys line (home s.bits line)
+  let mem s line = Array.unsafe_get s.keys (find s line) = line
 
-  let add s line =
-    let i = slot s.keys line (home line) in
+  let rec add s line =
+    if 2 * (s.size + 1) > Array.length s.keys then begin
+      let old = s.keys in
+      s.keys <- Array.make (2 * Array.length old) empty;
+      s.bits <- s.bits + 1;
+      s.size <- 0;
+      Array.iter (fun k -> if k <> empty then add s k) old
+    end;
+    let i = find s line in
     if Array.unsafe_get s.keys i = empty then begin
       Array.unsafe_set s.keys i line;
       s.size <- s.size + 1
@@ -34,27 +43,27 @@ module Line_set = struct
 
   (* Close the gap at [hole]: pull back every later key of the probe run
      whose home does not lie cyclically in [(hole, j]]. *)
-  let rec backshift keys hole j =
+  let rec backshift keys bits hole j =
     let k = Array.unsafe_get keys j in
     if k = empty then Array.unsafe_set keys hole empty
     else
-      let h = home k in
+      let h = home bits k in
       let stays = if hole <= j then hole < h && h <= j else hole < h || h <= j in
-      if stays then backshift keys hole (next j)
+      if stays then backshift keys bits hole (next keys j)
       else begin
         Array.unsafe_set keys hole k;
-        backshift keys j (next j)
+        backshift keys bits j (next keys j)
       end
 
   let remove s line =
-    let i = slot s.keys line (home line) in
+    let i = find s line in
     if Array.unsafe_get s.keys i = line then begin
-      backshift s.keys i (next i);
+      backshift s.keys s.bits i (next s.keys i);
       s.size <- s.size - 1
     end
 
   let reset s =
-    Array.fill s.keys 0 slots empty;
+    Array.fill s.keys 0 (Array.length s.keys) empty;
     s.size <- 0
 end
 

@@ -74,10 +74,7 @@ let run ?hw ~dss program stream =
   let col_of pcv =
     let cols = !col_pcv in
     let j = ref 0 in
-    while
-      !j < Array.length cols
-      && not (cols.(!j) == pcv || Perf.Pcv.equal cols.(!j) pcv)
-    do
+    while !j < Array.length cols && not (Perf.Pcv.equal cols.(!j) pcv) do
       incr j
     done;
     if !j = Array.length cols then begin

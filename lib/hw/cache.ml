@@ -6,7 +6,8 @@
    in-place shift of the ways in front of the hit — no option, no
    closure, no C call, so a simulated access allocates nothing.
 
-   Each array holds at most 64 words.  The conservative model builds a
+   Each array holds as many whole sets as fit in 64 words (one set when
+   a set is wider).  The conservative model builds a
    fresh L1D for every analysed path, and small arrays keep that cheap
    for the GC: they are born on the minor heap (one 512-word array
    would go straight to the major heap, [Max_young_wosize] being 256)

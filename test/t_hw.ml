@@ -80,11 +80,13 @@ module Ref_cache = struct
     t.misses <- 0
 end
 
-(* [(size_bytes, assoc)]: 4, 3, 3, 5, 1 and 16 sets — the 3- and 5-set
-   geometries take the general [mod] path. *)
+(* [(size_bytes, assoc)]: 4, 3, 3, 5, 1, 16, 128, 100 and 3 sets.  The
+   3-, 5- and 100-set geometries take the general [mod] path; the last
+   three spread their sets over several tag arrays (the 100-set and the
+   20-way ones with a partial last array). *)
 let cache_geometries =
   [| (64 * 4, 1); (64 * 6, 2); (64 * 12, 4); (64 * 10, 2); (64 * 8, 8);
-     (64 * 32, 2) |]
+     (64 * 32, 2); (64 * 256, 2); (64 * 200, 2); (64 * 60, 20) |]
 
 let prop_cache_matches_reference =
   QCheck2.Test.make ~count:300
@@ -93,15 +95,17 @@ let prop_cache_matches_reference =
       pair
         (int_range 0 (Array.length cache_geometries - 1))
         (list_size (int_range 1 200)
-           (triple (int_range 0 20) (int_range 0 47) (int_range 0 63))))
+           (triple (int_range 0 20) (int_range 0 4095) (int_range 0 63))))
     (fun (g, ops) ->
       let size_bytes, assoc = cache_geometries.(g) in
       let c = Hw.Cache.create ~size_bytes ~assoc in
       let r = Ref_cache.create ~size_bytes ~assoc in
+      (* three lines per way: enough reuse to hit, enough to evict *)
+      let span = 3 * size_bytes / 64 in
       let touched = ref [] in
       List.for_all
         (fun (op, line, offset) ->
-          let addr = (line * 64) + offset in
+          let addr = (line mod span * 64) + offset in
           touched := addr :: !touched;
           let same_result =
             match op with

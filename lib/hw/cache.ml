@@ -145,12 +145,12 @@ let remove t addr =
     for k = i to last - 1 do
       Array.unsafe_set tags k (Array.unsafe_get tags (k + 1))
     done;
-    Array.unsafe_set tags last (-1);
     t.fill.(idx) <- fill - 1
   end
 
+(* Ways at or past a set's [fill] are never read, so emptying a set is
+   resetting its count. *)
 let clear t =
-  Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) t.chunks;
   Array.fill t.fill 0 t.set_count 0;
   t.hits <- 0;
   t.misses <- 0

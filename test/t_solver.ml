@@ -1,5 +1,6 @@
 (* Tests for the constraint solver (lib/solver), including a brute-force
-   differential check on small domains. *)
+   differential check on small domains and a differential check of the
+   kernel against the reference kernel in [Solve_ref]. *)
 
 open Solver
 
@@ -358,9 +359,196 @@ let test_cache_parallel_domains () =
     got;
   check_bool "table stayed within its bound" true (Cache.size () <= 32)
 
+(* Differential testing against the reference kernel [Solve_ref]: the
+   library kernel must give the same verdict, the same model binding for
+   binding, and do the same work (conjuncts searched, search nodes
+   visited), since the symbolic engine's witnesses — and so the
+   contracts — are the models it finds. *)
+
+let solver_counters =
+  [ Obs.Metrics.counter "solver.conjuncts"; Obs.Metrics.counter "solver.nodes" ]
+
+(* [Solve.check] with the [solver.conjuncts] and [solver.nodes] it
+   added, read with the obs runtime on for the one call. *)
+let check_counted ?max_nodes cs =
+  let was_enabled = Obs.enabled () in
+  Obs.enable ();
+  let before = List.map Obs.Metrics.value solver_counters in
+  let verdict =
+    Fun.protect
+      ~finally:(fun () -> if not was_enabled then Obs.disable ())
+      (fun () -> Solve.check ?max_nodes cs)
+  in
+  let after = List.map Obs.Metrics.value solver_counters in
+  match List.map2 ( - ) after before with
+  | [ conjuncts; nodes ] -> (verdict, { Solve_ref.conjuncts; nodes })
+  | _ -> assert false
+
+let same_as_reference ?max_nodes cs =
+  let got, work = check_counted ?max_nodes cs in
+  let want, ref_work = Solve_ref.check_stats ?max_nodes cs in
+  let same_verdict =
+    match (got, want) with
+    | Solve.Sat m, Solve.Sat m' -> Model.bindings m = Model.bindings m'
+    | Solve.Unsat, Solve.Unsat | Solve.Unknown, Solve.Unknown -> true
+    | _ -> false
+  in
+  same_verdict && work = ref_work
+
+(* The engine's symbol domains: small enumerations, bytes, u32 header
+   fields and the [now] timestamp. *)
+let kernel_domains =
+  [| (0, 7); (0, 255); (0, (1 lsl 32) - 1); (1000, 1 lsl 40) |]
+
+type kernel_case = {
+  doms : (int * int) list;
+  max_nodes : int;
+  constraints : Constr.t list;
+}
+
+let gen_kernel_case =
+  let open QCheck2.Gen in
+  let* n = int_range 3 6 in
+  let* doms = list_repeat n (oneofa kernel_domains) in
+  let syms =
+    let gen = Sym.gen () in
+    List.mapi
+      (fun i (lo, hi) -> Sym.fresh gen ~lo ~hi (Printf.sprintf "s%d" i))
+      doms
+  in
+  let pick_sym = oneofl syms in
+  let gen_coef =
+    frequency
+      [ (6, int_range (-3) 3); (1, oneofl [ 256; -256; 65536; -(1 lsl 32) ]) ]
+  in
+  let gen_const =
+    frequency
+      [
+        (3, int_range (-10) 10);
+        (2, let* lo, hi = oneofl doms in int_range lo hi);
+      ]
+  in
+  let gen_lin =
+    let* terms = list_size (int_range 0 3) (pair gen_coef pick_sym) in
+    let* k = gen_const in
+    return
+      (List.fold_left
+         (fun acc (c, s) -> Linexpr.add acc (Linexpr.scale c (Linexpr.sym s)))
+         (Linexpr.const k) terms)
+  in
+  let gen_atom =
+    let* a = gen_lin in
+    let* b = gen_lin in
+    oneofl
+      [ Constr.le a b; Constr.lt a b; Constr.eq a b; Constr.ne a b;
+        Constr.ge a b ]
+  in
+  let gen_part =
+    frequency
+      [
+        (3, gen_atom);
+        (1, map Constr.disj (list_size (int_range 2 3) gen_atom));
+        ( 1,
+          map Constr.disj
+            (list_size (int_range 2 3)
+               (map Constr.conj (list_size (int_range 1 3) gen_atom))) );
+      ]
+  in
+  let* constraints = list_size (int_range 1 4) gen_part in
+  (* the budget stays small: a conjunct that exhausts it runs every node
+     to the 200-sweep cap in the reference kernel *)
+  let* max_nodes =
+    frequency [ (1, int_range 1 40); (2, int_range 41 300) ]
+  in
+  return { doms; max_nodes; constraints }
+
+let print_kernel_case c =
+  Fmt.str "domains %a, max_nodes %a: %a"
+    Fmt.(list ~sep:comma (pair ~sep:(any "..") int int))
+    c.doms
+    Fmt.int c.max_nodes Constr.pp (Constr.conj c.constraints)
+
+let prop_kernel_matches_reference =
+  QCheck2.Test.make ~count:400 ~name:"kernel matches reference kernel"
+    ~print:print_kernel_case gen_kernel_case (fun c ->
+      same_as_reference ~max_nodes:c.max_nodes c.constraints)
+
+let test_kernel_fixed_cases () =
+  let gen = Sym.gen () in
+  let x = Sym.u32 gen "x" and y = Sym.u32 gen "y" in
+  let b = Sym.byte gen "b" in
+  let now = Sym.fresh gen ~lo:1000 ~hi:(1 lsl 40) "now" in
+  let l = Linexpr.sym and k = Linexpr.const in
+  let kind = function
+    | Solve.Sat _ -> "sat"
+    | Solve.Unsat -> "unsat"
+    | Solve.Unknown -> "unknown"
+  in
+  let case ?max_nodes name want cs =
+    check_bool (name ^ ": same as reference") true
+      (same_as_reference ?max_nodes cs);
+    Alcotest.(check string) (name ^ ": verdict") want
+      (kind (Solve.check ?max_nodes cs))
+  in
+  (* each sweep moves the bounds by one: every node stops at the
+     200-sweep cap and the search splits down to small intervals *)
+  let cycle x y =
+    [ Constr.le (l x) (Linexpr.add_const (-1) (l y));
+      Constr.le (l y) (Linexpr.add_const (-1) (l x)) ]
+  in
+  case "sweep cap, u32" "unknown" ~max_nodes:200 (cycle x y);
+  case "sweep cap, small budget" "unknown" ~max_nodes:3 (cycle x y);
+  let v = Sym.fresh gen ~lo:0 ~hi:1000 "v" in
+  let w = Sym.fresh gen ~lo:0 ~hi:1000 "w" in
+  case "sweep cap, refuted by splitting" "unsat" (cycle v w);
+  (* parity is beyond interval reasoning: the search runs out of nodes *)
+  case "parity, small budget" "unknown" ~max_nodes:20
+    [ Constr.eq (Linexpr.add (Linexpr.scale 2 (l x)) (Linexpr.scale 4 (l y)))
+        (k ((1 lsl 32) + 1)) ];
+  case "expiry window" "sat"
+    [ Constr.ge (Linexpr.sub (l now) (l x)) (k 1024);
+      Constr.lt (l x) (Linexpr.add (l now) (k (-4096)));
+      Constr.ne (l b) (k 0) ];
+  case "disjunction picks the second conjunct" "sat"
+    [ Constr.disj
+        [ Constr.conj [ Constr.gt (l b) (k 200); Constr.lt (l b) (k 100) ];
+          Constr.eq (l x) (Linexpr.add (l b) (k 7)) ] ]
+
+(* The queries the pipeline really asks: every registry NF's path
+   constraints (the witness solves) and each class predicate conjoined
+   with them (the membership tests). *)
+let test_kernel_registry_queries () =
+  List.iter
+    (fun (e : Nf.Registry.entry) ->
+      let t =
+        Bolt.Pipeline.analyze
+          ~config:
+            Bolt.Pipeline.Config.(
+              default |> with_contracts e.contracts |> with_jobs 1)
+          e.program
+      in
+      let engine = t.Bolt.Pipeline.engine in
+      List.iter
+        (fun (a : Bolt.Pipeline.path_analysis) ->
+          let cs = a.path.Symbex.Path.constraints in
+          check_bool (e.name ^ ": path witness") true (same_as_reference cs);
+          List.iter
+            (fun (c : Symbex.Iclass.t) ->
+              check_bool
+                (Printf.sprintf "%s: class %s" e.name c.name)
+                true
+                (same_as_reference (c.predicate engine @ cs)))
+            e.classes)
+        t.analyses)
+    (Nf.Registry.all ())
+
 let suite =
   [
     Alcotest.test_case "linexpr" `Quick test_linexpr;
+    Alcotest.test_case "kernel on registry queries vs reference" `Quick
+      test_kernel_registry_queries;
+    Alcotest.test_case "kernel fixed cases vs reference" `Quick
+      test_kernel_fixed_cases;
     Alcotest.test_case "cache stats" `Quick test_cache_stats;
     Alcotest.test_case "cache probe cost" `Quick test_cache_probe_cost;
     Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
@@ -378,4 +566,5 @@ let suite =
       test_cache_parallel_domains;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_cache_matches_solve;
+    QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
   ]

@@ -5,7 +5,17 @@
     boolean structure.  On the affine constraints produced by the symbolic
     engine — comparisons of bounded header fields and model outputs against
     constants and against each other — this is complete; resource caps make
-    it return [Unknown] rather than diverge on anything harder. *)
+    it return [Unknown] rather than diverge on anything harder.
+
+    The DNF conjuncts are tried in order and the first [Sat] wins.  Within
+    a conjunct, each search node sweeps the atoms in order ([lin = 0] as
+    [lin <= 0] then [-lin <= 0]), tightening every symbol's interval,
+    until a sweep changes nothing or 200 sweeps have run; an empty
+    interval prunes the node.  If assigning every symbol its lower bound
+    satisfies the conjunct, that assignment is the model.  Otherwise the
+    node splits the widest unfixed symbol (the lowest id on ties) at the
+    midpoint and searches the lower half first.  The result is a pure
+    function of the constraints and the budgets. *)
 
 type result = Sat of Model.t | Unsat | Unknown
 

@@ -130,10 +130,15 @@ let egresses t =
     (fun acc r -> if List.mem r.egress acc then acc else acc @ [ r.egress ])
     [] t.routes
 
-let egress_cost t egress =
-  let members = List.filter (fun r -> equal_egress r.egress egress) t.routes in
-  ( Cost_vec.max_upper_list (List.map (fun r -> r.cost) members),
-    List.length members )
+(* Bound and count of a set of routes. *)
+let cost_of routes =
+  ( Cost_vec.max_upper_list (List.map (fun r -> r.cost) routes),
+    List.length routes )
+
+let via egress routes =
+  List.filter (fun r -> equal_egress r.egress egress) routes
+
+let egress_cost t egress = cost_of (via egress t.routes)
 
 let ingress_classes t =
   (List.assoc t.graph.Graph.ingress t.entries).Nf.Registry.classes
@@ -166,23 +171,17 @@ let class_members t (cls : Symbex.Iclass.t) =
   let pred = cls.Symbex.Iclass.predicate t.ingress_engine in
   List.filter (route_in_class pred cls) t.routes
 
-let class_cost t cls =
-  let members = class_members t cls in
-  ( Cost_vec.max_upper_list (List.map (fun r -> r.cost) members),
-    List.length members )
+let class_cost t cls = cost_of (class_members t cls)
+let class_egress_cost t cls egress = cost_of (via egress (class_members t cls))
 
-let class_egress_cost t cls egress =
-  let members =
-    List.filter (fun r -> equal_egress r.egress egress) (class_members t cls)
-  in
-  ( Cost_vec.max_upper_list (List.map (fun r -> r.cost) members),
-    List.length members )
-
+(* Each class's members are judged once, then split by egress. *)
 let contract t =
+  let egresses = egresses t in
   let entries =
     List.concat_map
       (fun (cls : Symbex.Iclass.t) ->
-        let cost, n = class_cost t cls in
+        let members = class_members t cls in
+        let cost, n = cost_of members in
         let total =
           Contract.entry ~class_name:cls.Symbex.Iclass.name
             ~description:cls.Symbex.Iclass.description ~path_count:n cost
@@ -190,7 +189,7 @@ let contract t =
         let per_egress =
           List.filter_map
             (fun egress ->
-              match class_egress_cost t cls egress with
+              match cost_of (via egress members) with
               | _, 0 -> None
               | cost, n ->
                   Some
@@ -200,7 +199,7 @@ let contract t =
                             pp_egress egress)
                        ~description:cls.Symbex.Iclass.description
                        ~path_count:n cost))
-            (egresses t)
+            egresses
         in
         total :: per_egress)
       (ingress_classes t)

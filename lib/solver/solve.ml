@@ -113,9 +113,9 @@ let touch c st ~except i =
 (* Propagate atom [a], [lin <= 0], through the store once; true if a
    bound moved.  Each term [c*s] is bounded by the minimum of the rest
    of [lin].  A term tightens [hi] when [c > 0] and [lo] when [c < 0],
-   neither of which the minimum of [lin] reads, so that minimum is
-   computed once and each term's rest is it less the term's own share
-   (exact in wrapping int arithmetic). *)
+   and the minimum of [lin] reads neither, so it is computed once; a
+   term's rest is that minimum less the term's own share, exactly, as
+   wrapping int addition is associative and commutative. *)
 let propagate c st a =
   let { k; idx; coef; _ } = c.atoms.(a) in
   let lo = st.lo and hi = st.hi in

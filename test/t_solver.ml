@@ -501,6 +501,11 @@ let test_kernel_fixed_cases () =
   let v = Sym.fresh gen ~lo:0 ~hi:1000 "v" in
   let w = Sym.fresh gen ~lo:0 ~hi:1000 "w" in
   case "sweep cap, refuted by splitting" "unsat" (cycle v w);
+  (* over [0, 799] the 200th sweep empties the root; from [0, 800] on,
+     the root stops at the cap and splits *)
+  let v = Sym.fresh gen ~lo:0 ~hi:799 "v" in
+  let w = Sym.fresh gen ~lo:0 ~hi:799 "w" in
+  case "refuted on the last sweep" "unsat" (cycle v w);
   (* parity is beyond interval reasoning: the search runs out of nodes *)
   case "parity, small budget" "unknown" ~max_nodes:20
     [ Constr.eq (Linexpr.add (Linexpr.scale 2 (l x)) (Linexpr.scale 4 (l y)))

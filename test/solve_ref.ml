@@ -161,10 +161,10 @@ let rec dnf (f : Constr.t) : Constr.atom list Seq.t =
 
 type stats = { conjuncts : int; nodes : int }
 
-(* [check] with the work it did: conjuncts searched and search nodes
-   visited, the figures the library reports as [solver.conjuncts] and
-   [solver.nodes]. *)
-let check_stats ?(max_conjuncts = 4096) ?(max_nodes = 20_000) constraints =
+(* [Solve.check] with the work it did: conjuncts searched and search
+   nodes visited, the figures the library reports as [solver.conjuncts]
+   and [solver.nodes]. *)
+let check ?(max_conjuncts = 4096) ?(max_nodes = 20_000) constraints =
   let conjuncts = ref 0 and nodes = ref 0 in
   let formula = Constr.conj constraints in
   let verdict =
@@ -189,6 +189,3 @@ let check_stats ?(max_conjuncts = 4096) ?(max_nodes = 20_000) constraints =
         scan (dnf formula) max_conjuncts false
   in
   (verdict, { conjuncts = !conjuncts; nodes = !nodes })
-
-let check ?max_conjuncts ?max_nodes constraints =
-  fst (check_stats ?max_conjuncts ?max_nodes constraints)

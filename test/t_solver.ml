@@ -386,7 +386,7 @@ let check_counted ?max_nodes cs =
 
 let same_as_reference ?max_nodes cs =
   let got, work = check_counted ?max_nodes cs in
-  let want, ref_work = Solve_ref.check_stats ?max_nodes cs in
+  let want, ref_work = Solve_ref.check ?max_nodes cs in
   let same_verdict =
     match (got, want) with
     | Solve.Sat m, Solve.Sat m' -> Model.bindings m = Model.bindings m'

@@ -31,6 +31,34 @@ let is_alive t meter ~backend ~now =
 
 let set_last_heartbeat t ~backend v = t.last.(backend) <- v
 
+(* ---- specialized fast paths ----------------------------------------
+
+   Sink twins of the metered methods; see {!Hash_map} for the
+   discipline. *)
+
+module S = Costing.Sink
+
+let fast_heartbeat t s ~backend ~now =
+  S.alu s 2;
+  S.branch s 1;
+  if backend < 0 || backend >= count t then 0
+  else begin
+    S.store s ~addr:(t.base + (8 * backend)) ();
+    t.last.(backend) <- now;
+    1
+  end
+
+let fast_is_alive t s ~backend ~now =
+  S.alu s 2;
+  S.branch s 1;
+  if backend < 0 || backend >= count t then 0
+  else begin
+    S.load s ~addr:(t.base + (8 * backend)) ();
+    S.alu s 1;
+    S.branch s 1;
+    if t.last.(backend) + t.timeout > now then 1 else 0
+  end
+
 let to_ds t =
   let call meter meth (args : int array) =
     match meth with
@@ -38,7 +66,19 @@ let to_ds t =
     | "is_alive" -> is_alive t meter ~backend:args.(0) ~now:args.(1)
     | other -> invalid_arg ("backend_pool: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "heartbeat" ->
+        Some
+          (fun (args : int array) ->
+            fast_heartbeat t s ~backend:args.(0) ~now:args.(1))
+    | "is_alive" ->
+        Some
+          (fun (args : int array) ->
+            fast_is_alive t s ~backend:args.(0) ~now:args.(1))
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

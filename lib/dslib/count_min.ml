@@ -18,17 +18,18 @@ let width t = t.width
 
 (* Row-seeded multiplicative hash with an avalanche finalizer — the
    width mask keeps only low bits, so high-bit key differences must be
-   mixed down before masking. *)
-let slot t row key =
-  let h =
-    Array.fold_left
-      (fun acc w -> ((acc * 0x9e3779b1) + w) land max_int)
-      ((row + 3) * 0x85ebca77 land max_int)
-      key
-  in
-  let h = (h lxor (h lsr 23)) * 0x2545f491 land max_int in
+   mixed down before masking.  Hashes the [len] key words at [a.(off)]
+   in place, so the fast paths read them straight from the argv. *)
+let slot_at t row (a : int array) ~off ~len =
+  let h = ref ((row + 3) * 0x85ebca77 land max_int) in
+  for j = off to off + len - 1 do
+    h := ((!h * 0x9e3779b1) + a.(j)) land max_int
+  done;
+  let h = (!h lxor (!h lsr 23)) * 0x2545f491 land max_int in
   let h = h lxor (h lsr 29) in
   h land (t.width - 1)
+
+let slot t row key = slot_at t row key ~off:0 ~len:(Array.length key)
 
 let counter_addr t row s = t.base + (8 * ((row * t.width) + s))
 
@@ -69,6 +70,46 @@ let estimate_quiet t key =
 let decay t =
   Array.iteri (fun i c -> t.counters.(i) <- c / 2) t.counters
 
+(* ---- specialized fast paths ----------------------------------------
+
+   Sink twins of [update]/[estimate]; see {!Hash_map} for the
+   discipline.  The 5-word key is hashed in place from the caller's
+   argv, never copied out with [Array.sub]. *)
+
+module S = Costing.Sink
+
+let fast_charge_row t s row sl ~write =
+  S.hash s ~key_len:5;
+  S.load s ~addr:(counter_addr t row sl) ();
+  S.alu s 2;
+  if write then S.store s ~addr:(counter_addr t row sl) ()
+
+let fast_update t s (a : int array) ~off =
+  S.alu s 2;
+  let est = ref max_int in
+  for row = 0 to t.rows - 1 do
+    let sl = slot_at t row a ~off ~len:5 in
+    fast_charge_row t s row sl ~write:true;
+    let i = (row * t.width) + sl in
+    let c = t.counters.(i) + 1 in
+    t.counters.(i) <- c;
+    if c < !est then est := c
+  done;
+  S.alu s 1;
+  !est
+
+let fast_estimate t s (a : int array) ~off =
+  S.alu s 2;
+  let est = ref max_int in
+  for row = 0 to t.rows - 1 do
+    let sl = slot_at t row a ~off ~len:5 in
+    fast_charge_row t s row sl ~write:false;
+    let c = t.counters.((row * t.width) + sl) in
+    if c < !est then est := c
+  done;
+  S.alu s 1;
+  !est
+
 let to_ds t =
   let call meter meth (args : int array) =
     let key = Array.sub args 0 5 in
@@ -77,7 +118,14 @@ let to_ds t =
     | "estimate" -> estimate t meter ~key
     | other -> invalid_arg ("count_min: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "update" -> Some (fun (args : int array) -> fast_update t s args ~off:0)
+    | "estimate" ->
+        Some (fun (args : int array) -> fast_estimate t s args ~off:0)
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

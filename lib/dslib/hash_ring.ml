@@ -80,13 +80,32 @@ let share t backend =
   let count = Array.fold_left (fun acc b -> if b = backend then acc + 1 else acc) 0 t.table in
   float_of_int count /. float_of_int t.size
 
+(* ---- specialized fast path ----------------------------------------
+
+   Sink twin of [backend_for]; see {!Hash_map} for the discipline. *)
+
+module S = Costing.Sink
+
+let fast_backend_for t s h =
+  S.alu s 2;
+  let slot = h mod t.size in
+  S.load s ~addr:(t.base + (4 * slot)) ();
+  S.alu s 1;
+  t.table.(slot)
+
 let to_ds t =
   let call meter meth (args : int array) =
     match meth with
     | "backend_for" -> backend_for t meter args.(0)
     | other -> invalid_arg ("hash_ring: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "backend_for" ->
+        Some (fun (args : int array) -> fast_backend_for t s args.(0))
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

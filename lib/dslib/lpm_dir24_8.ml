@@ -24,15 +24,12 @@ let create ~base ~default_port =
     next_group = 0;
   }
 
+(* [Hashtbl.find]'s [Not_found] is preallocated, so a read boxes no
+   option — the fast path below allocates nothing. *)
 let tbl24_get t i =
-  match Hashtbl.find_opt t.tbl24 i with
-  | Some v -> v
-  | None -> t.default_port
+  try Hashtbl.find t.tbl24 i with Not_found -> t.default_port
 
-let tbl8_get t i =
-  match Hashtbl.find_opt t.tbl8 i with
-  | Some v -> v
-  | None -> t.default_port
+let tbl8_get t i = try Hashtbl.find t.tbl8 i with Not_found -> t.default_port
 
 let add_route t ~prefix ~len ~port =
   if len < 10 || len > 32 then
@@ -104,13 +101,45 @@ let uses_tbl8 t ip = tbl24_get t (ip lsr 8) land extended_flag <> 0
    spans 256 consecutive byte slots. *)
 let footprint_bytes t = (16 * 1024 * 1024) + (256 * t.next_group)
 
+(* ---- specialized fast path ----------------------------------------
+
+   Sink twin of [lookup]; see {!Hash_map} for the discipline. *)
+
+module S = Costing.Sink
+
+let fast_lookup t s ip =
+  S.alu s 2;
+  let slot24 = ip lsr 8 in
+  S.load s ~addr:(t.base + (2 * slot24)) ();
+  S.branch s 1;
+  let entry = tbl24_get t slot24 in
+  if entry land extended_flag = 0 then begin
+    S.observe s Perf.Pcv.prefix_len 24;
+    S.alu s 1;
+    entry
+  end
+  else begin
+    let group = entry land lnot extended_flag in
+    S.alu s 3;
+    let slot8 = (group * 256) + (ip land 0xff) in
+    S.load s ~dependent:true ~addr:(t.tbl8_base + slot8) ();
+    S.alu s 1;
+    S.observe s Perf.Pcv.prefix_len 32;
+    tbl8_get t slot8
+  end
+
 let to_ds t =
   let call meter meth (args : int array) =
     match meth with
     | "lookup" -> lookup t meter args.(0)
     | other -> invalid_arg ("lpm: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "lookup" -> Some (fun (args : int array) -> fast_lookup t s args.(0))
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

@@ -89,13 +89,48 @@ let matched_len t ip =
   in
   walk t.root 0
 
+(* ---- specialized fast path ----------------------------------------
+
+   Sink twin of [lookup]; see {!Hash_map} for the discipline.  The walk
+   is a top-level tail recursion that charges the final port read
+   where it stops, so it neither returns a (node, depth) tuple nor
+   captures a closure. *)
+
+module S = Costing.Sink
+
+let rec fast_walk s ip node i =
+  if i >= 32 then fast_finish s node i
+  else
+    let b = bit_of ip i in
+    match node.children.(b) with
+    | Some child ->
+        S.alu s 2;
+        S.load s ~dependent:true ~addr:(node.addr + (8 * b)) ();
+        S.branch s 1;
+        fast_walk s ip child (i + 1)
+    | None -> fast_finish s node i
+
+and fast_finish s node depth =
+  S.load s ~dependent:true ~addr:(node.addr + 16) ();
+  S.observe s Perf.Pcv.prefix_len depth;
+  node.port
+
+let fast_lookup t s ip =
+  S.move s 1;
+  fast_walk s ip t.root 0
+
 let to_ds t =
   let call meter meth (args : int array) =
     match meth with
     | "lookup" -> lookup t meter args.(0)
     | other -> invalid_arg ("lpm_trie: unknown method " ^ other)
   in
-  Exec.Ds.make ~kind call
+  let fast_path (s : Exec.Ds.sink) meth =
+    match meth with
+    | "lookup" -> Some (fun (args : int array) -> fast_lookup t s args.(0))
+    | _ -> None
+  in
+  Exec.Ds.make ~fast_path ~kind call
 
 module Recipe = struct
   open Perf

@@ -1454,13 +1454,28 @@ let fallback ct ~meter ~mode =
   in
   { specialized = false; run_fn; exec_fn; out_port_fn = (fun () -> !last_port) }
 
+(* Engine selection, one count per [bind] (never per packet): which
+   disposition the stream got, and for a fallback the first reason
+   [bind] found, in the order it checks them. *)
+let c_specialized = Obs.Metrics.counter "exec.engine.specialized"
+let c_tracing = Obs.Metrics.counter "exec.engine.fallback.tracing"
+let c_coupled_mem = Obs.Metrics.counter "exec.engine.fallback.coupled_mem"
+let c_analysis = Obs.Metrics.counter "exec.engine.fallback.analysis"
+let c_no_fast_path = Obs.Metrics.counter "exec.engine.fallback.no_fast_path"
+
 let bind ct ~meter ~mode =
-  if Meter.tracing meter || Meter.coupled_mem meter then
+  let fallback_for reason =
+    Obs.Metrics.incr reason;
     fallback ct ~meter ~mode
+  in
+  if Meter.tracing meter then fallback_for c_tracing
+  else if Meter.coupled_mem meter then fallback_for c_coupled_mem
   else
     match mode with
-    | Concrete.Analysis _ -> fallback ct ~meter ~mode
+    | Concrete.Analysis _ -> fallback_for c_analysis
     | Concrete.Production dss -> (
         match build (Compiled.program ct) dss meter with
-        | t -> t
-        | exception Not_specializable -> fallback ct ~meter ~mode)
+        | t ->
+            Obs.Metrics.incr c_specialized;
+            t
+        | exception Not_specializable -> fallback_for c_no_fast_path)

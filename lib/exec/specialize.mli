@@ -27,7 +27,18 @@ type t
 val bind : Compiled.t -> meter:Meter.t -> mode:Interp.mode -> t
 (** Specialize [ct] against [meter] and [mode].  Falls back to the
     generic compiled runner (see above) rather than failing — [bind]
-    never raises. *)
+    never raises.
+
+    Each call increments exactly one {!Obs.Metrics} counter (nothing is
+    counted per packet; like every metric, only while [Obs] is
+    enabled): [exec.engine.specialized] when the stream runs the
+    specialized body, otherwise the first fallback reason in the order
+    [bind] checks them — [exec.engine.fallback.tracing] (the meter
+    records events), [exec.engine.fallback.coupled_mem] (the model
+    couples memory pricing to instruction counts),
+    [exec.engine.fallback.analysis] (analysis mode) or
+    [exec.engine.fallback.no_fast_path] (some call site's instance is
+    unlinked or offers no {!Ds.fast_path} for its method). *)
 
 val specialized : t -> bool
 (** [true] when the stream runs the specialized zero-allocation body,

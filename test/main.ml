@@ -11,6 +11,7 @@ let () =
       ("specialize", T_specialize.suite);
       ("pool", T_pool.suite);
       ("dslib", T_dslib.suite);
+      ("fast_path", T_fast_path.suite);
       ("symbex", T_symbex.suite);
       ("bolt", T_bolt.suite);
       ("distiller", T_distiller.suite);

@@ -38,6 +38,14 @@ lint:
 	  echo "      and per-event meter charges (use fast paths and batched charging):"; \
 	  echo "$$hits"; exit 1; \
 	fi
+	@hits=$$(for f in lib/dslib/*.ml; do \
+	  if grep -q "let to_ds" $$f && ! grep -q "~fast_path" $$f; then echo "$$f"; fi; \
+	done); \
+	if [ -n "$$hits" ]; then \
+	  echo "lint: a dslib structure's to_ds must pass ~fast_path, or every NF"; \
+	  echo "      linking it silently falls back off the specialized engine:"; \
+	  echo "$$hits"; exit 1; \
+	fi
 	@hits=$$(grep -rn "Interp\.run\|Ds\.find\|\.Ds\.call" lib/dataplane --include='*.ml' || true); \
 	if [ -n "$$hits" ]; then \
 	  echo "lint: the sharded dataplane's per-packet paths must stay on the"; \

@@ -310,7 +310,7 @@ let floors () =
 let exec_throughput () =
   section "Throughput — interpreted vs compiled vs config-specialized";
   let packets = if !quick then 4_000 else 40_000 in
-  let nf_names = [ "firewall"; "static_router"; "nat"; "bridge" ] in
+  let nf_names = Nf.Registry.names () in
   let stream_of ?(packets = packets) rng =
     let flows = Workload.Gen.distinct_flows rng 64 in
     let base = Workload.Gen.packets_of_flows flows in
@@ -350,6 +350,13 @@ let exec_throughput () =
     let spec =
       let meter = Exec.Meter.create (Hw.Model.null ()) in
       let sp, _ = Nf.Registry.specialize entry ~meter in
+      (* the specialized column must time the specialized body: a
+         stream that falls back to the generic runner is an error *)
+      if not (Exec.Specialize.specialized sp) then begin
+        Fmt.epr "throughput: %s falls back off the specialized engine@."
+          entry.Nf.Registry.name;
+        exit 1
+      end;
       replay (fun ~in_port ~now packet ->
           Exec.Meter.reset_observations meter;
           let r = Exec.Specialize.run sp ~in_port ~now packet in

@@ -203,7 +203,9 @@ let token_bucket =
                (1, G.int_range (-5) (-1));
                (1, G.return (1 lsl 50));
              ])
-        (G.map (fun bytes now -> ("conform", [| bytes; now |])) (G.int_range 0 60));
+        (G.map
+           (fun bytes now -> ("conform", [| bytes; now |]))
+           (G.int_range 0 60));
   }
 
 let count_min =
@@ -405,4 +407,5 @@ let structures =
     nat_table ~allocator:"array" ~capacity:8 ~port_hi:104;
   ]
 
-let suite = List.map (fun st -> QCheck_alcotest.to_alcotest (prop st)) structures
+let suite =
+  List.map (fun st -> QCheck_alcotest.to_alcotest (prop st)) structures

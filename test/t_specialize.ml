@@ -167,7 +167,9 @@ let calls_in nf stream lo hi =
           if !i >= lo && !i < hi then calls := (meth, ret) :: !calls;
           ret) )
   in
-  let dss = List.map record (entry.Nf.Registry.setup (Dslib.Layout.allocator ())) in
+  let dss =
+    List.map record (entry.Nf.Registry.setup (Dslib.Layout.allocator ()))
+  in
   Array.iteri
     (fun k (e : Workload.Stream.entry) ->
       i := k;
@@ -408,7 +410,9 @@ let test_engine_counters () =
   check_deltas "packets count nothing" [ 0; 0; 0; 0; 0 ] (fun () ->
       Array.iter
         (fun (e : Workload.Stream.entry) ->
-          ignore (Exec.Specialize.exec sp ~in_port:e.in_port ~now:e.now e.packet : int))
+          ignore
+            (Exec.Specialize.exec sp ~in_port:e.in_port ~now:e.now e.packet
+              : int))
         stream)
 
 let suite =

@@ -111,6 +111,8 @@ let analyze_chain ?max_paths ~models stages =
 let chain_worst chain =
   Cost_vec.max_upper_list (List.map (fun t -> t.cost) chain.tuples)
 
+(* Every tuple and pair is a finalized route, whose joint constraints
+   have a witness: class predicates are solved as slices against them. *)
 let chain_class_cost chain predicate =
   let pred = predicate chain.input in
   let members =
@@ -120,7 +122,7 @@ let chain_class_cost chain predicate =
         | [] -> false
         | last :: _ ->
             Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000
-              (pred @ last.Symbex.Path.constraints))
+              (Solver.Solve.slice ~proven:last.Symbex.Path.constraints pred))
       chain.tuples
   in
   ( Cost_vec.max_upper_list (List.map (fun t -> t.cost) members),
@@ -143,7 +145,7 @@ let class_cost t ~up_result (cls : Symbex.Iclass.t) =
            Symbex.Path.tags_of path_for_tags ~instance ~meth = [])
          cls.Symbex.Iclass.forbids
     && Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000
-         (pred @ constraints)
+         (Solver.Solve.slice ~proven:constraints pred)
   in
   let member_costs =
     List.filter_map

@@ -133,14 +133,14 @@ let analyze ?max_paths ?jobs ~models t =
   let emit steps_rev egress cons =
     pending := (steps_rev, egress, cons) :: !pending
   in
-  let feasible cons =
-    Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000 cons
-  in
   let out_edges i = List.filter (fun e -> e.src = i) t.edges in
-  let rec descend steps_rev node view cons pin =
+  (* [cons] holds the route's joint constraints so far; its first
+     [proven] members were decided [Sat] together, so exploration and
+     port checks solve only slices against them. *)
+  let rec descend steps_rev node view cons proven pin =
     let engine =
       Symbex.Engine.explore ?max_paths ~shared:(gen, view) ~initial:cons
-        ?pin_port:pin ~models t.nodes.(node).program
+        ~proven ?pin_port:pin ~models t.nodes.(node).program
     in
     if !ingress_engine = None then ingress_engine := Some engine;
     List.iter
@@ -168,50 +168,62 @@ let analyze ?max_paths ?jobs ~models t =
           (Exited { node; label = default_exit })
           path.Symbex.Path.constraints
     | [ { sel = Any; target; _ } ] ->
-        follow steps_rev path path.Symbex.Path.constraints target None
+        follow steps_rev path path.Symbex.Path.constraints
+          path.Symbex.Path.proven target None
     | edges ->
         (* every edge carries a [Port] selector (validated): constrain the
            forwarded value, prune infeasible (port, path) tuples, and send
            the complement — a port nobody declared — out of the topology *)
         let lin = Symbex.Value.to_lin ctx v in
         let side = Symbex.Value.take_side ctx in
+        let proven, rest = Symbex.Path.split_proven path in
+        (* the joint constraints with [extra] appended, and how many of
+           them are proven; [None] when they are unsatisfiable *)
+        let extend extra =
+          let cons = path.Symbex.Path.constraints @ extra in
+          match
+            Solver.Cache.check ~max_conjuncts:512 ~max_nodes:4000
+              (Solver.Solve.slice ~proven (rest @ extra))
+          with
+          | Solver.Solve.Sat _ -> Some (cons, List.length cons)
+          | Solver.Solve.Unknown -> Some (cons, path.Symbex.Path.proven)
+          | Solver.Solve.Unsat ->
+              incr infeasible;
+              None
+        in
         List.iter
           (fun e ->
             match e.sel with
             | Any -> assert false (* validated: Any is exclusive *)
             | Port p ->
-                let cons =
-                  path.Symbex.Path.constraints
-                  @ (Solver.Constr.eq lin (Solver.Linexpr.const p) :: side)
-                in
-                if feasible cons then follow steps_rev path cons e.target (Some p)
-                else incr infeasible)
+                Option.iter
+                  (fun (cons, proven) ->
+                    follow steps_rev path cons proven e.target (Some p))
+                  (extend (Solver.Constr.eq lin (Solver.Linexpr.const p) :: side)))
           edges;
         let ports =
           List.filter_map
             (function { sel = Port p; _ } -> Some p | _ -> None)
             edges
         in
-        let cons =
-          path.Symbex.Path.constraints
-          @ List.map
-              (fun p -> Solver.Constr.ne lin (Solver.Linexpr.const p))
-              ports
-          @ side
-        in
-        if feasible cons then
-          emit steps_rev (Exited { node; label = default_exit }) cons
-        else incr infeasible
-  and follow steps_rev (path : Symbex.Path.t) cons target pin =
+        Option.iter
+          (fun (cons, _) ->
+            emit steps_rev (Exited { node; label = default_exit }) cons)
+          (extend
+             (List.map
+                (fun p -> Solver.Constr.ne lin (Solver.Linexpr.const p))
+                ports
+             @ side))
+  and follow steps_rev (path : Symbex.Path.t) cons proven target pin =
     match target with
     | Exit label ->
         let node =
           match steps_rev with s :: _ -> s.step_node | [] -> assert false
         in
         emit steps_rev (Exited { node; label }) cons
-    | To next -> descend steps_rev next path.Symbex.Path.view cons pin
+    | To next -> descend steps_rev next path.Symbex.Path.view cons proven pin
   in
-  descend [] t.ingress view0 [] None;
+  descend [] t.ingress view0 [] 0 None;
   let contracts_of i = t.nodes.(i).contracts in
   let program_of i = t.nodes.(i).program in
   (* Finalization is independent per route — witness solving and replay

@@ -291,6 +291,97 @@ let is_sat ?max_conjuncts ?max_nodes constraints =
   | Sat _ | Unknown -> true
   | Unsat -> false
 
+(* Constraint independence: union the symbols of every constraint of
+   [proven] and [fresh], then keep the proven constraints whose class
+   meets a fresh constraint's.  A proven constraint outside those
+   classes shares no symbol, transitively, with [fresh]; symbols carry
+   their own bounds, so it cannot change the slice's verdict.
+
+   The union-find is indexed by symbol id in per-domain arrays that
+   outlive the call; an entry counts only when its [epoch] is the
+   current call's, so nothing is cleared between calls. *)
+let c_slice_queries = Obs.Metrics.counter "solver.slice.queries"
+let c_slice_dropped = Obs.Metrics.counter "solver.slice.dropped"
+
+type uf = {
+  mutable parent : int array;
+  mutable epoch : int array;  (** call that last wrote [parent.(i)] *)
+  mutable root_of_fresh : int array;  (** call that marked root [i] *)
+  mutable now : int;
+}
+
+let uf_key =
+  Domain.DLS.new_key (fun () ->
+      { parent = [||]; epoch = [||]; root_of_fresh = [||]; now = 0 })
+
+let grow u i =
+  let n = max (i + 1) (2 * Array.length u.parent) in
+  let extend a = Array.append a (Array.make (n - Array.length a) 0) in
+  u.parent <- extend u.parent;
+  u.epoch <- extend u.epoch;
+  u.root_of_fresh <- extend u.root_of_fresh
+
+let rec find u i =
+  if i >= Array.length u.parent then grow u i;
+  if u.epoch.(i) <> u.now then begin
+    u.epoch.(i) <- u.now;
+    u.parent.(i) <- i;
+    i
+  end
+  else
+    let p = u.parent.(i) in
+    if p = i then i
+    else
+      let r = find u p in
+      u.parent.(i) <- r;
+      r
+
+let rec iter_syms f (c : Constr.t) =
+  match c with
+  | Constr.True | Constr.False -> ()
+  | Constr.Atom (Constr.Le l | Constr.Eqz l) ->
+      List.iter (fun (s, _) -> f (Sym.id s)) (Linexpr.terms l)
+  | Constr.And parts | Constr.Or parts -> List.iter (iter_syms f) parts
+
+(* Union every symbol of [c] into one class; a symbol of [c] (standing
+   for the class), or -1 when [c] mentions none. *)
+let link u c =
+  let first = ref (-1) in
+  iter_syms
+    (fun i ->
+      if !first < 0 then first := i
+      else
+        let r = find u i and r0 = find u !first in
+        if r <> r0 then u.parent.(r) <- r0)
+    c;
+  !first
+
+let slice ~proven fresh =
+  Obs.Metrics.incr c_slice_queries;
+  if proven = [] then fresh
+  else begin
+    let u = Domain.DLS.get uf_key in
+    u.now <- u.now + 1;
+    let reps = List.map (link u) proven in
+    let fresh_reps = List.map (link u) fresh in
+    List.iter
+      (fun s -> if s >= 0 then u.root_of_fresh.(find u s) <- u.now)
+      fresh_reps;
+    let dropped = ref 0 in
+    let kept =
+      List.fold_right2
+        (fun c s acc ->
+          if s >= 0 && u.root_of_fresh.(find u s) = u.now then c :: acc
+          else begin
+            incr dropped;
+            acc
+          end)
+        proven reps []
+    in
+    Obs.Metrics.add c_slice_dropped !dropped;
+    kept @ fresh
+  end
+
 let model_exn constraints =
   match check constraints with
   | Sat m -> m

@@ -29,6 +29,23 @@ val is_sat : ?max_conjuncts:int -> ?max_nodes:int -> Constr.t list -> bool
     satisfiable for conservativeness: a path we cannot prove infeasible
     must be kept, or the contract could under-approximate. *)
 
+val slice : proven:Constr.t list -> Constr.t list -> Constr.t list
+(** [slice ~proven fresh] is [fresh] together with every constraint of
+    [proven] that shares a symbol with [fresh], directly or through a
+    chain of other constraints of [proven] (constraint independence).
+    The proven constraints keep their order and come first.
+
+    When [proven] is satisfiable, [proven @ fresh] is satisfiable iff the
+    slice is: every left-out constraint mentions only symbols that no
+    kept one mentions, and each symbol carries its own bounds, so a model
+    of the slice extends by any model of [proven].  Callers must
+    therefore only pass a set already decided [Sat] as [proven].  A
+    solve's model is not preserved (only its verdict), so witness solves
+    use the full set.
+
+    Counters: [solver.slice.queries] (one per call) and
+    [solver.slice.dropped] (constraints of [proven] left out). *)
+
 val model_exn : Constr.t list -> Model.t
 (** [model_exn cs] returns a model; raises [Failure] on [Unsat]/[Unknown]. *)
 

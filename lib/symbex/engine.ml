@@ -34,6 +34,9 @@ type st = {
   env : Value.t SM.t;
   view : Spacket.view;
   cons : Solver.Constr.t list;  (** reversed *)
+  ncons : int;  (** length of [cons] *)
+  proven : int;
+      (** the oldest [proven] members of [cons] were decided [Sat] together *)
   conset : CS.t;  (** the members of [cons], for duplicate checks *)
   calls : Path.call list;  (** reversed *)
   loops : Path.pcv_loop list;
@@ -44,8 +47,8 @@ type st = {
 
 let decide st b = if st.in_pcv then st else { st with decis = b :: st.decis }
 
-let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
-    ~models (program : Ir.Program.t) =
+let explore ?(max_paths = 8192) ?(initial = []) ?(proven = 0) ?shared
+    ?concrete ?pin_port ~models (program : Ir.Program.t) =
   Obs.Span.with_ ~cat:"symbex" "explore"
     ~args:(fun () -> [ ("program", program.Ir.Program.name) ])
   @@ fun () ->
@@ -78,14 +81,39 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
   let paths = ref [] in
   let path_count = ref 0 in
   let pruned = ref 0 in
-  let feasible cons =
-    Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000 cons
+  (* Only the constraints added since the proven prefix, and the proven
+     ones they share symbols with, are solved ({!Solver.Solve.slice}).
+     [Sat] advances the prefix to the whole set; [Unknown] keeps the
+     branch (conservatively) without proving anything. *)
+  let feasible st =
+    if st.proven = st.ncons then `Sat
+    else
+      let rec split n fresh rest =
+        if n = 0 then (fresh, rest)
+        else
+          match rest with
+          | c :: rest -> split (n - 1) (c :: fresh) rest
+          | [] -> assert false
+      in
+      let fresh, proven = split (st.ncons - st.proven) [] st.cons in
+      match
+        Solver.Cache.check ~max_conjuncts:512 ~max_nodes:4000
+          (Solver.Solve.slice ~proven fresh)
+      with
+      | Solver.Solve.Sat _ -> `Sat
+      | Solver.Solve.Unknown -> `Unknown
+      | Solver.Solve.Unsat -> `Unsat
   in
   let add_con st c =
     if Solver.Constr.is_true c || CS.mem c st.conset then st
     else begin
       Obs.Metrics.incr c_cons;
-      { st with cons = c :: st.cons; conset = CS.add c st.conset }
+      {
+        st with
+        cons = c :: st.cons;
+        ncons = st.ncons + 1;
+        conset = CS.add c st.conset;
+      }
     end
   in
   let drain st = List.fold_left add_con st (Value.take_side ctx) in
@@ -98,6 +126,7 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
       {
         Path.id = !path_count;
         constraints = List.rev st.cons;
+        proven = st.proven;
         calls = List.rev st.calls;
         loops = List.rev st.loops;
         decisions = List.rev st.decis;
@@ -111,14 +140,16 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
     List.iter
       (fun (extra, k) ->
         let st' = List.fold_left add_con st extra in
-        if feasible st'.cons then begin
-          Obs.Metrics.incr c_forks;
-          k st'
-        end
-        else begin
-          Obs.Metrics.incr c_pruned;
-          incr pruned
-        end)
+        match feasible st' with
+        | `Sat ->
+            Obs.Metrics.incr c_forks;
+            k { st' with proven = st'.ncons }
+        | `Unknown ->
+            Obs.Metrics.incr c_forks;
+            k st'
+        | `Unsat ->
+            Obs.Metrics.incr c_pruned;
+            incr pruned)
       branches
   in
   let module Dom = struct
@@ -263,6 +294,8 @@ let explore ?(max_paths = 8192) ?(initial = []) ?shared ?concrete ?pin_port
       env = SM.empty |> SM.add "in_port" in_port_v |> SM.add "now" now_v;
       view = view0;
       cons = List.rev initial;
+      ncons = List.length initial;
+      proven;
       conset = CS.of_list initial;
       calls = [];
       loops = [];

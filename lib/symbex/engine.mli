@@ -22,6 +22,7 @@ type result = {
 val explore :
   ?max_paths:int ->
   ?initial:Solver.Constr.t list ->
+  ?proven:int ->
   ?shared:Solver.Sym.gen * Spacket.view ->
   ?concrete:Net.Packet.t * int * int ->
   ?pin_port:int ->
@@ -31,7 +32,14 @@ val explore :
 (** [explore ~models program] runs the program on a fresh symbolic packet.
     [shared] reuses an existing generator and packet view — that is how
     chain composition executes the downstream NF on the upstream NF's
-    symbolic output (§3.4).  [initial] seeds the path constraints.
+    symbolic output (§3.4).  [initial] seeds the path constraints, and
+    [proven] (default 0) says how many of its leading members are already
+    known to be satisfiable together.
+    Each fork solves only the constraints added since the path's proven
+    prefix plus the proven ones they share symbols with
+    ({!Solver.Solve.slice}).  A [Sat] verdict extends the prefix to the
+    whole set; an [Unknown] one keeps the branch but proves nothing, so
+    the prefix stays.  {!Path.t.proven} records each path's prefix.
     [pin_port] constrains the (still symbolic) [in_port] to a known value:
     a topology edge that delivers the packet on port [p] pins the
     downstream NF's ingress port without changing how models or the

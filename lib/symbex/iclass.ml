@@ -48,5 +48,7 @@ let matches t result (path : Path.t) =
   && List.for_all
        (fun (instance, meth) -> Path.tags_of path ~instance ~meth = [])
        t.forbids
-  && Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000
-       (t.predicate result @ path.Path.constraints)
+  &&
+  let proven, rest = Path.split_proven path in
+  Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000
+    (Solve.slice ~proven (t.predicate result @ rest))

@@ -13,6 +13,7 @@ type action = Forward of Value.t | Drop | Flood
 type t = {
   id : int;
   constraints : Solver.Constr.t list;
+  proven : int;
   calls : call list;
   loops : pcv_loop list;
   decisions : bool list;
@@ -23,6 +24,16 @@ type t = {
   action : action;
   view : Spacket.view;
 }
+
+let split_proven t =
+  let rec go n acc rest =
+    if n = 0 then (List.rev acc, rest)
+    else
+      match rest with
+      | c :: rest -> go (n - 1) (c :: acc) rest
+      | [] -> (List.rev acc, [])
+  in
+  go t.proven [] t.constraints
 
 let tags_of t ~instance ~meth =
   List.filter_map

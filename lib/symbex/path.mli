@@ -16,6 +16,10 @@ type action = Forward of Value.t | Drop | Flood
 type t = {
   id : int;
   constraints : Solver.Constr.t list;
+  proven : int;
+      (** the first [proven] members of [constraints] were decided [Sat]
+          together during exploration: a later query that extends them
+          may solve only its {!Solver.Solve.slice} *)
   calls : call list;  (** in call order *)
   loops : pcv_loop list;
   decisions : bool list;
@@ -26,6 +30,9 @@ type t = {
   action : action;
   view : Spacket.view;  (** the symbolic output packet *)
 }
+
+val split_proven : t -> Solver.Constr.t list * Solver.Constr.t list
+(** [(proven, rest)]: the proven prefix of [constraints] and the rest. *)
 
 val tags_of : t -> instance:string -> meth:string -> string list
 (** Tags of all this path's calls to [instance.meth]. *)

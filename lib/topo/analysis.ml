@@ -164,8 +164,9 @@ let route_in_class pred (cls : Symbex.Iclass.t) route =
        (fun (instance, meth) ->
          Symbex.Path.tags_of ingress_path ~instance ~meth = [])
        cls.Symbex.Iclass.forbids
+  (* a route's joint constraints have a witness: they are proven *)
   && Solver.Cache.is_sat ~max_conjuncts:512 ~max_nodes:4000
-       (pred @ route.constraints)
+       (Solver.Solve.slice ~proven:route.constraints pred)
 
 let class_members t (cls : Symbex.Iclass.t) =
   let pred = cls.Symbex.Iclass.predicate t.ingress_engine in

@@ -547,6 +547,96 @@ let test_kernel_registry_queries () =
         t.analyses)
     (Nf.Registry.all ())
 
+(* Constraint-independence slicing ([Solve.slice]).  Symbols over a
+   small domain, atoms over one or two of them, so random sets chain
+   symbols through several constraints. *)
+let slice_syms =
+  let gen = Sym.gen () in
+  Array.init 6 (fun i -> Sym.fresh gen ~lo:0 ~hi:7 (Printf.sprintf "v%d" i))
+
+let gen_slice_constr =
+  let open QCheck2.Gen in
+  let term =
+    let* c = oneofl [ 1; -1; 2 ] in
+    let* i = int_range 0 (Array.length slice_syms - 1) in
+    return (Linexpr.scale c (Linexpr.sym slice_syms.(i)))
+  in
+  let atom =
+    let* a = term in
+    let* b = option term in
+    let* k = int_range (-4) 4 in
+    let lhs = match b with Some b -> Linexpr.add a b | None -> a in
+    oneofl
+      [ Constr.le lhs (Linexpr.const k); Constr.eq lhs (Linexpr.const k);
+        Constr.ne lhs (Linexpr.const k); Constr.ge lhs (Linexpr.const k) ]
+  in
+  frequency [ (4, atom); (1, map Constr.disj (list_size (int_range 2 3) atom)) ]
+
+let prop_slice_exact =
+  let open QCheck2 in
+  Test.make ~count:500 ~name:"slice agrees with the full set"
+    ~print:(fun (p, f) ->
+      Fmt.str "proven %a@ fresh %a" Constr.pp (Constr.conj p) Constr.pp
+        (Constr.conj f))
+    Gen.(
+      pair
+        (list_size (int_range 1 8) gen_slice_constr)
+        (list_size (int_range 1 3) gen_slice_constr))
+    (fun (proven, fresh) ->
+      match Solve.check proven with
+      | Solve.Unsat | Solve.Unknown -> true (* [proven] must be Sat *)
+      | Solve.Sat _ -> (
+          let s = Solve.slice ~proven fresh in
+          let within = List.for_all (fun c -> List.memq c (proven @ fresh)) s in
+          let covers = List.for_all (fun c -> List.memq c s) fresh in
+          within && covers
+          &&
+          match (Solve.check s, Solve.check (proven @ fresh)) with
+          | Solve.Sat _, Solve.Sat _ | Solve.Unsat, Solve.Unsat -> true
+          | Solve.Unknown, _ | _, Solve.Unknown -> true
+          | _ -> false))
+
+let test_slice_fixed_cases () =
+  let gen = Sym.gen () in
+  let sym name = Linexpr.sym (Sym.fresh gen ~lo:0 ~hi:7 name) in
+  let x = sym "x" and y = sym "y" and z = sym "z" and w = sym "w" in
+  (* a chain x = y = z = w reaches w from x only through y = z, two hops
+     from either end of [fresh] *)
+  let chain = [ Constr.eq x y; Constr.eq y z; Constr.eq z w ] in
+  let fresh = [ Constr.ne x w ] in
+  check_bool "chain: whole chain kept" true
+    (Solve.slice ~proven:chain fresh = chain @ fresh);
+  check_bool "chain: slice unsat like the full set" false
+    (Solve.is_sat (Solve.slice ~proven:chain fresh));
+  (* an Or-heavy proven set over other symbols is dropped entirely: its
+     DNF has 2^10 conjuncts, the slice's has one *)
+  let others = List.init 10 (fun i -> sym (Printf.sprintf "a%d" i)) in
+  let ors =
+    List.map
+      (fun a ->
+        Constr.disj [ Constr.eq a (Linexpr.const 1); Constr.eq a (Linexpr.const 5) ])
+      others
+  in
+  let fresh = [ Constr.le x (Linexpr.const 3); Constr.ge x (Linexpr.const 4) ] in
+  let was_enabled = Obs.enabled () in
+  Obs.enable ();
+  let dropped = Obs.Metrics.counter "solver.slice.dropped" in
+  let queries = Obs.Metrics.counter "solver.slice.queries" in
+  let d0 = Obs.Metrics.value dropped and q0 = Obs.Metrics.value queries in
+  let s =
+    Fun.protect
+      ~finally:(fun () -> if not was_enabled then Obs.disable ())
+      (fun () -> Solve.slice ~proven:(ors @ [ Constr.ge x (Linexpr.const 1) ]) fresh)
+  in
+  check_bool "ors dropped" true
+    (s = (Constr.ge x (Linexpr.const 1) :: fresh));
+  check_int "dropped counted" 10 (Obs.Metrics.value dropped - d0);
+  check_int "query counted" 1 (Obs.Metrics.value queries - q0);
+  check_bool "slice unsat" false (Solve.is_sat s);
+  check_bool "no symbol in fresh: all dropped" true
+    (Solve.slice ~proven:ors [ Constr.False ] = [ Constr.False ]);
+  check_bool "empty proven" true (Solve.slice ~proven:[] fresh == fresh)
+
 let suite =
   [
     Alcotest.test_case "linexpr" `Quick test_linexpr;
@@ -567,9 +657,11 @@ let suite =
     Alcotest.test_case "solve basics" `Quick test_solve_basic;
     Alcotest.test_case "solve disjunction" `Quick test_solve_disjunction;
     Alcotest.test_case "model defaults" `Quick test_model_defaults;
+    Alcotest.test_case "slice fixed cases" `Quick test_slice_fixed_cases;
     Alcotest.test_case "cache under parallel domains" `Quick
       test_cache_parallel_domains;
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_cache_matches_solve;
     QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+    QCheck_alcotest.to_alcotest prop_slice_exact;
   ]

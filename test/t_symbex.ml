@@ -237,6 +237,72 @@ let test_engine_max_paths_guard () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "path explosion not detected"
 
+(* The proven prefix of every path must really be satisfiable: forks
+   solve only slices against it, which is exact only over a Sat prefix. *)
+let check_prefix_sat what (path : Symbex.Path.t) =
+  let proven, _ = Symbex.Path.split_proven path in
+  check_bool
+    (Printf.sprintf "%s path %d: proven %d of %d" what path.Symbex.Path.id
+       path.Symbex.Path.proven
+       (List.length path.Symbex.Path.constraints))
+    true
+    (match Solver.Solve.check proven with
+    | Solver.Solve.Sat _ -> true
+    | Solver.Solve.Unsat | Solver.Solve.Unknown -> false)
+
+let test_proven_prefix_registry () =
+  List.iter
+    (fun (e : Nf.Registry.entry) ->
+      let result = explore e.Nf.Registry.program in
+      List.iter
+        (fun (path : Symbex.Path.t) ->
+          check_bool (e.Nf.Registry.name ^ ": prefix in range") true
+            (path.Symbex.Path.proven >= 0
+            && path.Symbex.Path.proven
+               <= List.length path.Symbex.Path.constraints);
+          check_prefix_sat e.Nf.Registry.name path)
+        result.Symbex.Engine.paths)
+    (Nf.Registry.all ())
+
+let test_unknown_keeps_prefix () =
+  (* [2x = 2y + 1] over two u32 fields is unsatisfiable by parity, which
+     interval search cannot see: the engine's budget runs out, the branch
+     is kept as [Unknown], and its constraint stays out of the prefix *)
+  let p =
+    Program.make ~name:"parity" ~state:[]
+      [
+        Stmt.assign "x" (Expr.load32 (Expr.int 26));
+        Stmt.assign "y" (Expr.load32 (Expr.int 30));
+        Stmt.if_
+          Expr.(var "x" + var "x" == var "y" + var "y" + int 1)
+          [ Stmt.forward_port 1 ]
+          [ Stmt.drop ];
+      ]
+  in
+  let result = explore p in
+  let paths = result.Symbex.Engine.paths in
+  check_int "unknown branch kept" 2 (List.length paths);
+  List.iter (check_prefix_sat "parity") paths;
+  let forward =
+    List.find
+      (fun (path : Symbex.Path.t) -> path.Symbex.Path.action <> Symbex.Path.Drop)
+      paths
+  in
+  check_bool "the forward branch's query is undecided" true
+    (Solver.Solve.check ~max_conjuncts:512 ~max_nodes:4000
+       forward.Symbex.Path.constraints
+    = Solver.Solve.Unknown);
+  check_bool "unknown branch: prefix stops short" true
+    (forward.Symbex.Path.proven < List.length forward.Symbex.Path.constraints);
+  let drop =
+    List.find
+      (fun (path : Symbex.Path.t) -> path.Symbex.Path.action = Symbex.Path.Drop)
+      paths
+  in
+  check_int "sat branch: whole set proven"
+    (List.length drop.Symbex.Path.constraints)
+    drop.Symbex.Path.proven
+
 let suite =
   [
     Alcotest.test_case "engine max_paths guard" `Quick
@@ -256,6 +322,10 @@ let suite =
     Alcotest.test_case "call in pcv loop rejected" `Quick
       test_engine_rejects_call_in_pcv_loop;
     Alcotest.test_case "input class matching" `Quick test_iclass_matching;
+    Alcotest.test_case "proven prefixes of registry paths are sat" `Quick
+      test_proven_prefix_registry;
+    Alcotest.test_case "unknown fork keeps the prefix" `Quick
+      test_unknown_keeps_prefix;
     Alcotest.test_case "witness replay consistency" `Slow
       test_witness_replay_consistency;
   ]

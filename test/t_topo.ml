@@ -208,6 +208,30 @@ let test_builtin_route_counts () =
   Alcotest.(check (triple int int int))
     "failover routes" (30, 25, 0) (counts "failover")
 
+(* Exploration and port checks solve slices against each path's proven
+   prefix, which is exact only if that prefix is really satisfiable. *)
+let test_proven_prefixes_sat () =
+  List.iter
+    (fun name ->
+      let t =
+        Topo.Analysis.run ~jobs:1 (Topo.Builtin.find name).Topo.Builtin.graph
+      in
+      List.iter
+        (fun (r : Topo.Analysis.route) ->
+          List.iter
+            (fun (s : Topo.Analysis.step) ->
+              let proven, _ = Symbex.Path.split_proven s.Topo.Analysis.path in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s prefix of %d sat" name s.Topo.Analysis.node
+                   s.Topo.Analysis.path.Symbex.Path.proven)
+                true
+                (match Solver.Solve.check proven with
+                | Solver.Solve.Sat _ -> true
+                | Solver.Solve.Unsat | Solver.Solve.Unknown -> false))
+            r.Topo.Analysis.steps)
+        t.Topo.Analysis.routes)
+    (Topo.Builtin.names ())
+
 let bind_all vecs vec metric =
   let binding =
     List.sort_uniq compare (List.concat_map Cost_vec.pcvs vecs)
@@ -329,4 +353,6 @@ let suite =
     Alcotest.test_case "egress/class domination" `Slow
       test_egress_class_domination;
     Alcotest.test_case "jobs determinism" `Slow test_jobs_deterministic;
+    Alcotest.test_case "proven prefixes of route paths are sat" `Slow
+      test_proven_prefixes_sat;
   ]

@@ -392,6 +392,9 @@ module Recipe = struct
                        ~ma:(Perf_expr.const 1)))
          lru_append_cost)
 
+  let put_update ~key_len =
+    Cost_vec.add (Hash_map.Recipe.put_update ~key_len) refresh
+
   let put_full ~key_len = Hash_map.Recipe.put_full ~key_len
 
   let expire ~key_len ~per_entry_extra =

@@ -97,6 +97,9 @@ module Recipe : sig
   val get_hit : key_len:int -> Perf.Cost_vec.t
   val get_miss : key_len:int -> Perf.Cost_vec.t
   val put_new : key_len:int -> Perf.Cost_vec.t
+  val put_update : key_len:int -> Perf.Cost_vec.t
+  (** [put] of a live key: value updated in place, entry refreshed. *)
+
   val put_full : key_len:int -> Perf.Cost_vec.t
 
   val expire : key_len:int -> per_entry_extra:Perf.Cost_vec.t ->

@@ -4,6 +4,9 @@ let key_len = 5
 type t = {
   ft : Flow_table.t;
   ext : int array;  (** port - port_lo → flow handle, or -1 *)
+  port_of : int array;
+      (** flow handle → its external port: the entry's value, kept here
+          too because a [put] on a live key overwrites it *)
   ext_base : int;
   alloc : Port_alloc.t;
   port_lo : int;
@@ -39,7 +42,10 @@ let create ~base ~capacity ~buckets ~timeout ?granularity ~alloc ~port_lo
     Flow_table.create ~base ~key_len ~capacity ~buckets ~timeout ?granularity
       ~on_expire ~on_expire_fast ()
   in
-  let t = { ft; ext; ext_base; alloc; port_lo; port_hi } in
+  let t =
+    { ft; ext; port_of = Array.make capacity (-1); ext_base; alloc; port_lo;
+      port_hi }
+  in
   cell := Some t;
   t
 
@@ -47,6 +53,7 @@ let size t = Flow_table.size t.ft
 let capacity t = Flow_table.capacity t.ft
 let allocator t = t.alloc
 let ext_addr t i = t.ext_base + (8 * i)
+let value_addr t handle = Hash_map.node_addr (Flow_table.map t.ft) handle + 56
 let expire t meter ~now = Flow_table.expire t.ft meter ~now
 
 let lookup_int t meter key ~now =
@@ -54,11 +61,16 @@ let lookup_int t meter key ~now =
   | Some port -> port
   | None -> -1
 
+(* A [put] that did not grow the table updated a live key in place:
+   its previous port is read back from the entry, unmapped and freed, so
+   the key keeps exactly one port (the new one).  The fresh-insert path
+   charges nothing here. *)
 let add_int t meter key ~now =
   let port = Port_alloc.alloc t.alloc meter in
   Costing.charge_branch meter 1;
   if port < 0 then -1
   else begin
+    let size_before = Flow_table.size t.ft in
     let handle = Flow_table.put t.ft meter key ~value:port ~now in
     Costing.charge_branch meter 1;
     if handle < 0 then begin
@@ -67,9 +79,18 @@ let add_int t meter key ~now =
       -1
     end
     else begin
+      if Flow_table.size t.ft = size_before then begin
+        let old = t.port_of.(handle) in
+        Costing.charge_load meter ~addr:(value_addr t handle) ();
+        Costing.charge_branch meter 1;
+        Costing.charge_store meter ~addr:(ext_addr t (old - t.port_lo)) ();
+        t.ext.(old - t.port_lo) <- -1;
+        Port_alloc.free t.alloc meter old
+      end;
       Costing.charge_store meter ~addr:(ext_addr t (port - t.port_lo)) ();
       Costing.charge_alu meter 1;
       t.ext.(port - t.port_lo) <- handle;
+      t.port_of.(handle) <- port;
       port
     end
   end
@@ -113,6 +134,7 @@ let fast_add_int t s (key : int array) ~off ~now =
   S.branch s 1;
   if port < 0 then -1
   else begin
+    let size_before = Flow_table.size t.ft in
     let handle = Flow_table.fast_put t.ft s key ~off ~value:port ~now in
     S.branch s 1;
     if handle < 0 then begin
@@ -120,9 +142,18 @@ let fast_add_int t s (key : int array) ~off ~now =
       -1
     end
     else begin
+      if Flow_table.size t.ft = size_before then begin
+        let old = t.port_of.(handle) in
+        S.load s ~addr:(value_addr t handle) ();
+        S.branch s 1;
+        S.store s ~addr:(ext_addr t (old - t.port_lo)) ();
+        t.ext.(old - t.port_lo) <- -1;
+        Port_alloc.fast_free t.alloc s old
+      end;
       S.store s ~addr:(ext_addr t (port - t.port_lo)) ();
       S.alu s 1;
       t.ext.(port - t.port_lo) <- handle;
+      t.port_of.(handle) <- port;
       port
     end
   end
@@ -212,6 +243,15 @@ module Recipe = struct
                  alloc_c;
                  Flow_table.Recipe.put_new ~key_len;
                  const_vec ~ic:4 ~ma:1 ~lines:1;
+               ]);
+          branch ~tag:"remap"
+            ~note:"flow already installed: new port mapped, old one freed"
+            (Cost_vec.sum
+               [
+                 alloc_c;
+                 Flow_table.Recipe.put_update ~key_len;
+                 free_c;
+                 const_vec ~ic:7 ~ma:3 ~lines:3;
                ]);
           branch ~tag:"full" ~note:"flow table full (allocation rolled back)"
             (Cost_vec.sum

@@ -24,7 +24,9 @@ val lookup_int : t -> Exec.Meter.t -> int array -> now:int -> int
 
 val add_int : t -> Exec.Meter.t -> int array -> now:int -> int
 (** Allocate a port and install the flow; [-1] when the table is full or
-    ports are exhausted. *)
+    ports are exhausted.  Adding a live key remaps it: the new port
+    replaces the old one, which is unmapped and freed (contract branch
+    ["remap"]). *)
 
 val lookup_ext : t -> Exec.Meter.t -> port:int -> now:int -> int
 (** External port → flow handle, or [-1]; refreshes on hit. *)

@@ -161,23 +161,32 @@ module Nat = struct
   let ports_full t = Ports.full t.ports
   let table_full t = Flow.size t.flows >= t.flows.Flow.capacity
 
-  (* add can only fail for want of a port or of table room; under the
-     lookup-then-add discipline allocated ports track live flows 1:1 *)
-  let add_should_fail t = ports_full t || table_full t
+  (* add can only fail for want of a port, or of table room when the
+     key is new: a live key is updated in place *)
+  let add_should_fail t key = ports_full t || ((not (mem t key)) && table_full t)
 
+  (* A live key is remapped: the new port replaces the old one, which
+     loses its reverse mapping and goes back to the allocator. *)
   let add t key ~now ~returned =
     if returned = -1 then
-      if add_should_fail t then Ok t
+      if add_should_fail t key then Ok t
       else Error "add_int returned -1 with room and ports available"
     else
       match Ports.alloc t.ports ~returned with
       | Error e -> Error e
-      | Ok ports ->
+      | Ok ports -> (
+          let old = Flow.peek t.flows key in
           let flows, r = Flow.put t.flows key ~value:returned ~now in
-          (match r with
-          | Flow.Inserted | Flow.Updated ->
-              Ok { flows; ports; ext = (returned, key) :: t.ext }
-          | Flow.Full -> Error "add_int succeeded on a full table")
+          let ext = (returned, key) :: t.ext in
+          match (r, old) with
+          | Flow.Inserted, _ -> Ok { flows; ports; ext }
+          | Flow.Updated, Some old -> (
+              match Ports.free ports old with
+              | `Freed ports ->
+                  Ok { flows; ports; ext = List.remove_assoc old ext }
+              | `Rejects -> Error "add_int remapped a key whose port was free")
+          | Flow.Updated, None -> assert false
+          | Flow.Full, _ -> Error "add_int succeeded on a full table")
 
   let lookup_int t key ~now =
     let flows, v = Flow.get t.flows key ~now in

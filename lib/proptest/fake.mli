@@ -77,14 +77,14 @@ module Nat : sig
   val ports_full : t -> bool
   val table_full : t -> bool
 
-  val add_should_fail : t -> bool
-  (** Ports exhausted or flow table full — the only legal reasons for
-      [add_int] to return -1. *)
+  val add_should_fail : t -> int array -> bool
+  (** Ports exhausted, or the flow table full and the key new — the only
+      legal reasons for [add_int] of this key to return -1. *)
 
   val add : t -> int array -> now:int -> returned:int -> (t, string) result
   (** Validate and adopt the real [add_int] reply ([returned] = external
-      port or -1).  Only call when [mem] is false — the generator keeps
-      the NF's lookup-then-add discipline. *)
+      port or -1).  A live key is remapped: its old port is unmapped and
+      freed. *)
 
   val lookup_int : t -> int array -> now:int -> t * int
   val lookup_ext : t -> port:int -> now:int -> t * int array option

@@ -524,39 +524,36 @@ let nat_case which =
       ~exec:(fun meter cmd ->
         match cmd with
         | N_add (key, now) ->
-            if Fake.Nat.mem !fake key then
-              (* the NFs only add after a lookup miss; adding a present
-                 key is outside the modelled discipline, so the command
-                 is skipped (deterministically, given the prefix) *)
-              Skip
-            else begin
-              let pre = !fake in
-              (* the allocator runs first, so its exhaustion decides the
-                 branch even when the table is also full *)
-              let no_port = Fake.Nat.ports_full pre in
-              let p = Dslib.Nat_table.add_int nat meter key ~now in
-              let tag =
-                if p >= 0 then "ok" else if no_port then "no_port" else "full"
-              in
-              Step
-                {
-                  raw_obs = [ p ];
-                  finish =
-                    (fun obs ->
-                      match obs with
-                      | [ p ] -> (
-                          match Fake.Nat.add pre key ~now ~returned:p with
-                          | Ok fake' ->
-                              fake := fake';
-                              None
-                          | Error e -> Some e)
-                      | other ->
-                          Some
-                            (Format.asprintf "malformed add reply %a" pp_ints
-                               other));
-                  bounds = Some ("add_int", tag, []);
-                }
-            end
+            let pre = !fake in
+            (* the allocator runs first, so its exhaustion decides the
+               branch even when the table is also full; a live key is
+               remapped *)
+            let no_port = Fake.Nat.ports_full pre in
+            let live = Fake.Nat.mem pre key in
+            let p = Dslib.Nat_table.add_int nat meter key ~now in
+            let tag =
+              if p >= 0 then if live then "remap" else "ok"
+              else if no_port then "no_port"
+              else "full"
+            in
+            Step
+              {
+                raw_obs = [ p ];
+                finish =
+                  (fun obs ->
+                    match obs with
+                    | [ p ] -> (
+                        match Fake.Nat.add pre key ~now ~returned:p with
+                        | Ok fake' ->
+                            fake := fake';
+                            None
+                        | Error e -> Some e)
+                    | other ->
+                        Some
+                          (Format.asprintf "malformed add reply %a" pp_ints
+                             other));
+                bounds = Some ("add_int", tag, []);
+              }
         | N_lookup_int (key, now) ->
             let p = Dslib.Nat_table.lookup_int nat meter key ~now in
             let fake', e = Fake.Nat.lookup_int !fake key ~now in

@@ -627,6 +627,35 @@ let test_nat_table_refresh_via_lookup () =
   check_int "expires eventually" 1
     (Dslib.Nat_table.expire nat (quiet ()) ~now:2500)
 
+(* A second add of a live key remaps it.  It once leaked the first port,
+   whose reverse slot kept pointing at the entry: after expiry a
+   [lookup_ext] of that port put the freed node back into the LRU list,
+   and the next [expire] failed [Flow_table.expire]'s assertion. *)
+let test_nat_table_add_live_key () =
+  let nat = nat_table () in
+  let alloc = Dslib.Nat_table.allocator nat in
+  let k = [| 10; 20; 30; 40; 17 |] and k' = [| 11; 21; 31; 41; 6 |] in
+  let p1 = Dslib.Nat_table.add_int nat (quiet ()) k ~now:0 in
+  let p2 = Dslib.Nat_table.add_int nat (quiet ()) k ~now:10 in
+  check_bool "new port" true (p2 >= 1000 && p2 <> p1);
+  check_int "one flow" 1 (Dslib.Nat_table.size nat);
+  check_bool "old port freed" false (Dslib.Port_alloc.is_allocated alloc p1);
+  check_int "old port unmapped" (-1)
+    (Dslib.Nat_table.lookup_ext nat (quiet ()) ~port:p1 ~now:20);
+  check_int "key maps to the new port" p2
+    (Dslib.Nat_table.lookup_int nat (quiet ()) k ~now:30);
+  check_int "expired" 1 (Dslib.Nat_table.expire nat (quiet ()) ~now:100_000);
+  check_int "stale port stays unmapped" (-1)
+    (Dslib.Nat_table.lookup_ext nat (quiet ()) ~port:p1 ~now:100_001);
+  check_bool "add after expiry" true
+    (Dslib.Nat_table.add_int nat (quiet ()) k' ~now:100_002 >= 1000);
+  check_int "expires cleanly" 1
+    (Dslib.Nat_table.expire nat (quiet ()) ~now:200_000);
+  check_bool "every port free" true
+    (List.for_all
+       (fun p -> not (Dslib.Port_alloc.is_allocated alloc p))
+       [ p1; p2 ])
+
 let suite =
   [
     Alcotest.test_case "hash_map semantics" `Quick test_hash_map_semantics;
@@ -665,6 +694,8 @@ let suite =
       test_nat_table_flow_lifecycle;
     Alcotest.test_case "nat table refresh" `Quick
       test_nat_table_refresh_via_lookup;
+    Alcotest.test_case "nat table add of a live key" `Quick
+      test_nat_table_add_live_key;
     QCheck_alcotest.to_alcotest prop_hash_map_contract;
     QCheck_alcotest.to_alcotest prop_flow_table_expire_contract;
     QCheck_alcotest.to_alcotest prop_port_alloc_contracts;

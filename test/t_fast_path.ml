@@ -340,21 +340,6 @@ let mac_table =
            ]);
   }
 
-(* The NAT's protocol installs a flow only after [lookup_int] missed it:
-   a second [add_int] of a live key would leave the first port's
-   reverse mapping pointing at the entry, and a later [lookup_ext] of
-   that port would refresh it after it expired.  So each key is added
-   at most once per sequence. *)
-let add_once calls =
-  let added = Hashtbl.create 8 in
-  List.filter
-    (fun (meth, args) ->
-      meth <> "add_int"
-      ||
-      let key = Array.sub args 0 5 in
-      (not (Hashtbl.mem added key)) && (Hashtbl.replace added key (); true))
-    calls
-
 (* Ports [100, port_hi] behind a [capacity]-entry table, so one variant
    runs out of entries and the other out of ports; lookup_ext probes
    just outside the range too. *)
@@ -372,25 +357,22 @@ let nat_table ~allocator ~capacity ~port_hi =
           (Dslib.Nat_table.create ~base:0x60_0000 ~capacity ~buckets:4
              ~timeout:100 ~alloc ~port_lo:100 ~port_hi ()));
     calls =
-      G.map add_once
-        (timed
-           (G.oneof
-              [
-                G.return (fun now -> ("expire", [| now |]));
-                G.map
-                  (fun k now -> ("lookup_int", Array.append k [| now |]))
-                  key5;
-                G.map
-                  (fun k now -> ("add_int", Array.append k [| now |]))
-                  key5;
-                G.map
-                  (fun port now -> ("lookup_ext", [| port; now |]))
-                  (G.int_range 97 (port_hi + 3));
-                G.map2
-                  (fun handle field _ -> ("int_field", [| handle; field |]))
-                  (G.int_range 0 (capacity - 1))
-                  (G.int_range 0 4);
-              ]));
+      timed
+        (G.oneof
+           [
+             G.return (fun now -> ("expire", [| now |]));
+             G.map
+               (fun k now -> ("lookup_int", Array.append k [| now |]))
+               key5;
+             G.map (fun k now -> ("add_int", Array.append k [| now |])) key5;
+             G.map
+               (fun port now -> ("lookup_ext", [| port; now |]))
+               (G.int_range 97 (port_hi + 3));
+             G.map2
+               (fun handle field _ -> ("int_field", [| handle; field |]))
+               (G.int_range 0 (capacity - 1))
+               (G.int_range 0 4);
+           ]);
   }
 
 let structures =

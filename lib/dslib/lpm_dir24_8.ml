@@ -1,11 +1,64 @@
 let kind = "lpm"
 
+(* A sparse int -> int table: open addressing with linear probing over
+   power-of-two arrays, kept at most half full.  Keys are non-negative
+   (slot indices), so -1 marks an empty slot.  Entries are only ever
+   added or replaced — routes are never withdrawn — so there is no
+   deletion.  A probe is a multiplicative hash and a few int compares:
+   no polymorphic hash or compare, and nothing allocated. *)
+module Itbl = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable bits : int;
+    mutable size : int;
+  }
+
+  let create bits =
+    { keys = Array.make (1 lsl bits) (-1); vals = Array.make (1 lsl bits) 0;
+      bits; size = 0 }
+
+  (* Fibonacci hashing: the top [bits] bits of the 63-bit product *)
+  let home t k = (k * 0x4F1BBCDCBFA53E0B) lsr (63 - t.bits)
+
+  let rec probe keys mask k i =
+    let k' = Array.unsafe_get keys i in
+    if k' = k || k' < 0 then i else probe keys mask k ((i + 1) land mask)
+
+  let slot t k = probe t.keys ((1 lsl t.bits) - 1) k (home t k)
+
+  let find t k ~default =
+    let i = slot t k in
+    if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i
+    else default
+
+  let mem t k = t.keys.(slot t k) = k
+
+  let rec replace t k v =
+    let i = slot t k in
+    if t.keys.(i) = k then t.vals.(i) <- v
+    else if 2 * (t.size + 1) > Array.length t.keys then begin
+      let keys = t.keys and vals = t.vals in
+      t.bits <- t.bits + 1;
+      t.keys <- Array.make (1 lsl t.bits) (-1);
+      t.vals <- Array.make (1 lsl t.bits) 0;
+      t.size <- 0;
+      Array.iteri (fun j k -> if k >= 0 then replace t k vals.(j)) keys;
+      replace t k v
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.vals.(i) <- v;
+      t.size <- t.size + 1
+    end
+end
+
 (* tbl24 entries: port, or (0x8000 lor group) when extended to tbl8.
-   Backing storage is sparse (hashtables) — only the address arithmetic
-   needs to look like the 64 MB DPDK layout. *)
+   Backing storage is sparse — only the address arithmetic needs to
+   look like the 64 MB DPDK layout. *)
 type t = {
-  tbl24 : (int, int) Hashtbl.t;
-  tbl8 : (int, int) Hashtbl.t;
+  tbl24 : Itbl.t;
+  tbl8 : Itbl.t;
   base : int;
   tbl8_base : int;
   default_port : int;
@@ -16,20 +69,16 @@ let extended_flag = 0x8000
 
 let create ~base ~default_port =
   {
-    tbl24 = Hashtbl.create 1024;
-    tbl8 = Hashtbl.create 256;
+    tbl24 = Itbl.create 9;
+    tbl8 = Itbl.create 4;
     base;
     tbl8_base = base + (16 * 1024 * 1024);
     default_port;
     next_group = 0;
   }
 
-(* [Hashtbl.find]'s [Not_found] is preallocated, so a read boxes no
-   option — the fast path below allocates nothing. *)
-let tbl24_get t i =
-  try Hashtbl.find t.tbl24 i with Not_found -> t.default_port
-
-let tbl8_get t i = try Hashtbl.find t.tbl8 i with Not_found -> t.default_port
+let tbl24_get t i = Itbl.find t.tbl24 i ~default:t.default_port
+let tbl8_get t i = Itbl.find t.tbl8 i ~default:t.default_port
 
 let add_route t ~prefix ~len ~port =
   if len < 10 || len > 32 then
@@ -39,33 +88,32 @@ let add_route t ~prefix ~len ~port =
     let count = 1 lsl (24 - len) in
     for i = first to first + count - 1 do
       (* never clobber an extended entry installed by a longer prefix *)
-      match Hashtbl.find_opt t.tbl24 i with
-      | Some v when v land extended_flag <> 0 -> ()
-      | _ -> Hashtbl.replace t.tbl24 i port
+      if
+        not (Itbl.mem t.tbl24 i && tbl24_get t i land extended_flag <> 0)
+      then Itbl.replace t.tbl24 i port
     done
   end
   else begin
     let slot24 = prefix lsr 8 in
+    let existing = tbl24_get t slot24 in
     let group =
-      match Hashtbl.find_opt t.tbl24 slot24 with
-      | Some v when v land extended_flag <> 0 -> v land lnot extended_flag
-      | existing ->
-          let g = t.next_group in
-          t.next_group <- g + 1;
-          (* seed the new group with the previous shorter-prefix port *)
-          let fallback =
-            match existing with Some v -> v | None -> t.default_port
-          in
-          for b = 0 to 255 do
-            Hashtbl.replace t.tbl8 ((g * 256) + b) fallback
-          done;
-          Hashtbl.replace t.tbl24 slot24 (extended_flag lor g);
-          g
+      if Itbl.mem t.tbl24 slot24 && existing land extended_flag <> 0 then
+        existing land lnot extended_flag
+      else begin
+        let g = t.next_group in
+        t.next_group <- g + 1;
+        (* seed the new group with the previous shorter-prefix port *)
+        for b = 0 to 255 do
+          Itbl.replace t.tbl8 ((g * 256) + b) existing
+        done;
+        Itbl.replace t.tbl24 slot24 (extended_flag lor g);
+        g
+      end
     in
     let first = prefix land 0xff in
     let count = 1 lsl (32 - len) in
     for b = first to first + count - 1 do
-      Hashtbl.replace t.tbl8 ((group * 256) + b) port
+      Itbl.replace t.tbl8 ((group * 256) + b) port
     done
   end
 

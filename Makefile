@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-quick bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke examples doc clean
+.PHONY: all build test lint bench bench-quick bench-smoke soak-smoke scale-smoke fuzz-smoke fuzz-stateful-smoke tune-smoke topo-smoke topo-pins examples doc clean
 
 all: build
 
@@ -120,6 +120,14 @@ tune-smoke:
 # (non-quick) run regenerates the tracked BENCH_topo.json.
 topo-smoke:
 	dune exec bench/main.exe -- topo --quick --json BENCH_topo_smoke.json
+
+# CI pin on the topology analysis: the routes, pruned/unsolved counts,
+# joint/naive IC bounds and per-egress routes/IC of the topo-smoke
+# artifact must equal the committed BENCH_topo.json (none depends on
+# --quick or the host), so a change to the derived route set fails here
+# instead of surfacing only as a different number.  Run after topo-smoke.
+topo-pins: BENCH_topo_smoke.json
+	python3 bench/topo_pins.py BENCH_topo.json BENCH_topo_smoke.json
 
 # CI smoke for the soundness fuzzer: a few deterministic rounds of all
 # six differential oracles (see docs/TESTING.md).  Exits non-zero on a

@@ -38,16 +38,19 @@ def main():
     diffs = []
     for name in sorted(set(pinned) | set(fresh)):
         if name not in fresh or name not in pinned:
-            diffs.append(f"{name}: only in {'pinned' if name in pinned else 'fresh'}")
+            side = "pinned" if name in pinned else "fresh"
+            diffs.append(f"{name}: only in {side}")
             continue
         (fields, egresses), (fields2, egresses2) = pinned[name], fresh[name]
         for k in FIELDS:
             if fields[k] != fields2[k]:
-                diffs.append(f"{name}.{k}: pinned {fields[k]}, fresh {fields2[k]}")
+                diffs.append(
+                    f"{name}.{k}: pinned {fields[k]}, fresh {fields2[k]}")
         for e in sorted(set(egresses) | set(egresses2)):
             a, b = egresses.get(e), egresses2.get(e)
             if a != b:
-                diffs.append(f"{name} via {e} (routes, ic): pinned {a}, fresh {b}")
+                diffs.append(
+                    f"{name} via {e} (routes, ic): pinned {a}, fresh {b}")
     for d in diffs:
         print("topo-pins: " + d)
     if diffs:

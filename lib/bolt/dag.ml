@@ -196,10 +196,11 @@ let analyze ?max_paths ?jobs ~models t =
             match e.sel with
             | Any -> assert false (* validated: Any is exclusive *)
             | Port p ->
+                let at_p = Solver.Constr.eq lin (Solver.Linexpr.const p) in
                 Option.iter
                   (fun (cons, proven) ->
                     follow steps_rev path cons proven e.target (Some p))
-                  (extend (Solver.Constr.eq lin (Solver.Linexpr.const p) :: side)))
+                  (extend (at_p :: side)))
           edges;
         let ports =
           List.filter_map

@@ -24,6 +24,9 @@ type t = {
   mutable fw_pred : int;
   mutable fw_collisions : int;
   mutable fw_traversals : int;
+  mutable replaced : int;
+      (** the value the last in-place update overwrote, for callers that
+          store a resource in the value and must release the old one *)
 }
 
 let node_size = 64
@@ -53,10 +56,12 @@ let create ?(seed = 17) ~base ~key_len ~capacity ~buckets () =
     fw_pred = -1;
     fw_collisions = 0;
     fw_traversals = 0;
+    replaced = -1;
   }
 
 let capacity t = t.capacity
 let size t = t.size
+let replaced t = t.replaced
 let key_len t = t.key_len
 let node_addr t i = t.entries_base + (node_size * i)
 let bucket_addr t b = t.bucket_base + (8 * b)
@@ -154,6 +159,7 @@ let put t meter key value =
       (* update in place *)
       Costing.charge_store meter ~addr:(node_addr t node + 56) ();
       Costing.charge_alu meter 1;
+      t.replaced <- t.values.(node);
       t.values.(node) <- value;
       node
     end
@@ -375,6 +381,7 @@ let fast_put t s (key : int array) ~off value =
     if node >= 0 then begin
       S.store s ~addr:(node_addr t node + 56) ();
       S.alu s 1;
+      t.replaced <- t.values.(node);
       t.values.(node) <- value;
       node
     end

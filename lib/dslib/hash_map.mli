@@ -47,6 +47,12 @@ val put : t -> Exec.Meter.t -> int array -> int -> probe
 (** Insert or update.  [result] is the node index, or [-1] when the map is
     full.  Observes [c]/[t]. *)
 
+val replaced : t -> int
+(** The value the last update in place ({!put} or {!fast_put} of a live
+    key) overwrote.  Uncharged: a caller that reads it prices the read.
+    A caller whose [put] grew no entry reads it to release what the old
+    value held. *)
+
 val remove : t -> Exec.Meter.t -> int array -> probe
 (** Remove the key, returning its former node index in [result] (or -1).
     Observes [c]/[t]. *)

@@ -4,9 +4,6 @@ let key_len = 5
 type t = {
   ft : Flow_table.t;
   ext : int array;  (** port - port_lo → flow handle, or -1 *)
-  port_of : int array;
-      (** flow handle → its external port: the entry's value, kept here
-          too because a [put] on a live key overwrites it *)
   ext_base : int;
   alloc : Port_alloc.t;
   port_lo : int;
@@ -42,10 +39,7 @@ let create ~base ~capacity ~buckets ~timeout ?granularity ~alloc ~port_lo
     Flow_table.create ~base ~key_len ~capacity ~buckets ~timeout ?granularity
       ~on_expire ~on_expire_fast ()
   in
-  let t =
-    { ft; ext; port_of = Array.make capacity (-1); ext_base; alloc; port_lo;
-      port_hi }
-  in
+  let t = { ft; ext; ext_base; alloc; port_lo; port_hi } in
   cell := Some t;
   t
 
@@ -80,7 +74,7 @@ let add_int t meter key ~now =
     end
     else begin
       if Flow_table.size t.ft = size_before then begin
-        let old = t.port_of.(handle) in
+        let old = Hash_map.replaced (Flow_table.map t.ft) in
         Costing.charge_load meter ~addr:(value_addr t handle) ();
         Costing.charge_branch meter 1;
         Costing.charge_store meter ~addr:(ext_addr t (old - t.port_lo)) ();
@@ -90,7 +84,6 @@ let add_int t meter key ~now =
       Costing.charge_store meter ~addr:(ext_addr t (port - t.port_lo)) ();
       Costing.charge_alu meter 1;
       t.ext.(port - t.port_lo) <- handle;
-      t.port_of.(handle) <- port;
       port
     end
   end
@@ -143,7 +136,7 @@ let fast_add_int t s (key : int array) ~off ~now =
     end
     else begin
       if Flow_table.size t.ft = size_before then begin
-        let old = t.port_of.(handle) in
+        let old = Hash_map.replaced (Flow_table.map t.ft) in
         S.load s ~addr:(value_addr t handle) ();
         S.branch s 1;
         S.store s ~addr:(ext_addr t (old - t.port_lo)) ();
@@ -153,7 +146,6 @@ let fast_add_int t s (key : int array) ~off ~now =
       S.store s ~addr:(ext_addr t (port - t.port_lo)) ();
       S.alu s 1;
       t.ext.(port - t.port_lo) <- handle;
-      t.port_of.(handle) <- port;
       port
     end
   end

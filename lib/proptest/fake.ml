@@ -163,7 +163,8 @@ module Nat = struct
 
   (* add can only fail for want of a port, or of table room when the
      key is new: a live key is updated in place *)
-  let add_should_fail t key = ports_full t || ((not (mem t key)) && table_full t)
+  let add_should_fail t key =
+    ports_full t || ((not (mem t key)) && table_full t)
 
   (* A live key is remapped: the new port replaces the old one, which
      loses its reverse mapping and goes back to the allocator. *)

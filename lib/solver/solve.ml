@@ -299,7 +299,9 @@ let is_sat ?max_conjuncts ?max_nodes constraints =
 
    The union-find is indexed by symbol id in per-domain arrays that
    outlive the call; an entry counts only when its [epoch] is the
-   current call's, so nothing is cleared between calls. *)
+   current call's, so nothing is cleared between calls.  Symbols from
+   different generators that share an id only merge classes: the slice
+   keeps more than it needs, never less. *)
 let c_slice_queries = Obs.Metrics.counter "solver.slice.queries"
 let c_slice_dropped = Obs.Metrics.counter "solver.slice.dropped"
 

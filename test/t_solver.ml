@@ -614,10 +614,13 @@ let test_slice_fixed_cases () =
   let ors =
     List.map
       (fun a ->
-        Constr.disj [ Constr.eq a (Linexpr.const 1); Constr.eq a (Linexpr.const 5) ])
+        Constr.disj
+          [ Constr.eq a (Linexpr.const 1); Constr.eq a (Linexpr.const 5) ])
       others
   in
-  let fresh = [ Constr.le x (Linexpr.const 3); Constr.ge x (Linexpr.const 4) ] in
+  let fresh =
+    [ Constr.le x (Linexpr.const 3); Constr.ge x (Linexpr.const 4) ]
+  in
   let was_enabled = Obs.enabled () in
   Obs.enable ();
   let dropped = Obs.Metrics.counter "solver.slice.dropped" in
@@ -626,7 +629,8 @@ let test_slice_fixed_cases () =
   let s =
     Fun.protect
       ~finally:(fun () -> if not was_enabled then Obs.disable ())
-      (fun () -> Solve.slice ~proven:(ors @ [ Constr.ge x (Linexpr.const 1) ]) fresh)
+      (fun () ->
+        Solve.slice ~proven:(ors @ [ Constr.ge x (Linexpr.const 1) ]) fresh)
   in
   check_bool "ors dropped" true
     (s = (Constr.ge x (Linexpr.const 1) :: fresh));

@@ -285,7 +285,8 @@ let test_unknown_keeps_prefix () =
   List.iter (check_prefix_sat "parity") paths;
   let forward =
     List.find
-      (fun (path : Symbex.Path.t) -> path.Symbex.Path.action <> Symbex.Path.Drop)
+      (fun (path : Symbex.Path.t) ->
+        path.Symbex.Path.action <> Symbex.Path.Drop)
       paths
   in
   check_bool "the forward branch's query is undecided" true

@@ -222,8 +222,8 @@ let test_proven_prefixes_sat () =
             (fun (s : Topo.Analysis.step) ->
               let proven, _ = Symbex.Path.split_proven s.Topo.Analysis.path in
               Alcotest.(check bool)
-                (Printf.sprintf "%s: %s prefix of %d sat" name s.Topo.Analysis.node
-                   s.Topo.Analysis.path.Symbex.Path.proven)
+                (Printf.sprintf "%s: %s prefix of %d sat" name
+                   s.Topo.Analysis.node s.Topo.Analysis.path.Symbex.Path.proven)
                 true
                 (match Solver.Solve.check proven with
                 | Solver.Solve.Sat _ -> true
